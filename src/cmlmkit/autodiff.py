@@ -37,7 +37,7 @@ def _as_float_array(data, dtype=None) -> np.ndarray:
 class Tensor:
     """Immutable dense float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = _as_float_array(data, dtype)
@@ -45,7 +45,6 @@ class Tensor:
             raise NonFiniteError("tensor constructed with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -139,7 +138,6 @@ class GradientTape:
             self._next_id += 1
             self._ids[key] = nid
             self._pinned.append(tensor)  # pin so id() stays unique
-            tensor.node_id = nid
         return nid
 
     def record(self, name: str, inputs: Sequence[Tensor], output: Tensor,
@@ -215,7 +213,6 @@ def apply_op(name: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = any(t.requires_grad for t in inputs)
-    out.node_id = None
     tape = active_tape()
     if tape is not None and out.requires_grad:
         tape.record(name, inputs, out, backward)
@@ -555,29 +552,6 @@ def layer_norm(a: Tensor, scale: Tensor, bias: Tensor,
         return d_x, d_scale, d_bias
 
     return apply_op("layer_norm", out_data, (a, scale, bias), backward)
-
-
-_KERNELS = {
-    "softmax_rows": lambda x, scale, bias: softmax(x),
-    "gelu": lambda x, scale, bias: gelu(x),
-    "relu": lambda x, scale, bias: relu(x),
-    "layer_norm": lambda x, scale, bias: layer_norm(
-        x,
-        scale if scale is not None else constant(np.ones(x.data.shape[-1], x.data.dtype)),
-        bias if bias is not None else constant(np.zeros(x.data.shape[-1], x.data.dtype)),
-    ),
-}
-
-
-def kernel(kind: str, x: Tensor, scale: Tensor | None = None,
-           bias: Tensor | None = None) -> Tensor:
-    """Dispatch the named neural-net kernel with gradients recorded."""
-    try:
-        fn = _KERNELS[kind]
-    except KeyError:
-        raise ContractError(
-            f"unknown kernel '{kind}', expected one of {sorted(_KERNELS)}") from None
-    return fn(x, scale, bias)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,20 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import CmlmError, ContractError, DataError, DimensionError
+from .errors import CmlmError, ContractError, DataError
 from .evaluation import (EmbeddingSet, language_bias_histogram, linear_probe,
-                         load_embeddings, export_2d, pcr_debias,
-                         retrieval_accuracy, save_embeddings,
+                         load_embeddings, export_2d, normalized_rows,
+                         pcr_debias, retrieval_accuracy, save_embeddings,
                          spearman_correlation)
-from .losses import in_batch_retrieval_accuracy
-from .model import embed_texts
+from .losses import CMLM_VARIANTS, in_batch_retrieval_accuracy
+from .model import POOLING_KINDS, REPRESENTATIONS, embed_texts
 from .synth import SynthSpec, generate
-from .training import load_checkpoint, run_plan
+from .training import STRATEGIES, load_checkpoint, run_plan
 
 log = logging.getLogger("cmlm")
 
@@ -32,7 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-STRATEGY_ALIASES = {"cmlm": "cmlm_only", "s1": "s1", "s2": "s2", "s3": "s3"}
+STRATEGY_ALIASES = {"cmlm": "cmlm_only"}
 
 
 class UsageError(Exception):
@@ -53,32 +54,15 @@ def _setup_logging() -> None:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file (or the defaults) with every config flag given applied;
+    a config flag's dest is the key it sets."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    mapping = {
-        "seed": "seed", "alpha": "alpha", "margin": "margin",
-        "n_proj": "n_projections", "pooling": "pooling",
-        "mask_count": "num_mask", "variant": "variant",
-        "representation": "representation", "corpus": "corpus_path",
-        "bitext": "bitext_path", "nli": "nli_path", "out": "out_dir",
-        "stage1_steps": "stage1_steps", "stage2_steps": "stage2_steps",
-        "nli_steps": "nli_steps", "learning_rate": "learning_rate",
-        "batch_size": "batch_size", "warmup_steps": "warmup_steps",
-        "vocab_size": "vocab_size",
-    }
-    for flag, key in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "strategy", None) is not None:
-        overrides["strategy"] = STRATEGY_ALIASES[args.strategy]
-    if overrides.get("representation") == "proj-mean":
-        overrides["representation"] = "proj_mean"
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
+    if "strategy" in overrides:
+        overrides["strategy"] = STRATEGY_ALIASES.get(overrides["strategy"],
+                                                     overrides["strategy"])
     return config.with_overrides(overrides)
-
-
-def _representation(name: str) -> str:
-    return "proj_mean" if name in ("proj-mean", "proj_mean") else "pooled"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +121,7 @@ def _embed_corpus_lines(path: str, ckpt, representation: str):
 def cmd_embed(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     es = _embed_corpus_lines(args.infile, ckpt,
-                             _representation(args.representation))
+                             args.representation.replace("-", "_"))
     save_embeddings(es, args.out)
     print(json.dumps({"out": args.out, "count": len(es),
                       "dim": int(es.vectors.shape[1])}, sort_keys=True))
@@ -185,13 +169,8 @@ def cmd_sts(args) -> int:
         gold = np.array([float(line) for line in fh if line.strip()])
     if len(gold) != len(a):
         raise DataError("gold score count must match embedding rows")
-    av = a.vectors.astype(np.float64)
-    bv = b.vectors.astype(np.float64)
-    norms_a = np.linalg.norm(av, axis=1)
-    norms_b = np.linalg.norm(bv, axis=1)
-    if np.any(norms_a == 0) or np.any(norms_b == 0):
-        raise DimensionError("zero embedding row; cosine undefined")
-    scores = np.sum(av * bv, axis=1) / (norms_a * norms_b)
+    scores = np.sum(normalized_rows(a.vectors, "emb-a") *
+                    normalized_rows(b.vectors, "emb-b"), axis=1)
     rho = spearman_correlation(scores, gold)
     print(json.dumps({"spearman": rho}, sort_keys=True))
     return EXIT_OK
@@ -252,7 +231,7 @@ def cmd_ablate_n(args) -> int:
             source = "skip" if variant == "skip" else "standard"
             params, handles, acc, loss = per_n[source]
             representation = "proj_mean" if variant == "proj" else "pooled"
-            retrieval = _pair_retrieval(args.corpus, args.eval_pairs, params,
+            retrieval = _pair_retrieval(args.corpus_path, args.eval_pairs, params,
                                         handles, representation)
             lines.append(f"{n}\t{variant}\t{acc:.4f}\t{retrieval:.4f}\t{loss:.4f}")
     table = "\n".join(lines) + "\n"
@@ -286,25 +265,22 @@ def _pair_retrieval(corpus_path: str, eval_pairs: int, params, handles,
 
 def _add_config_flags(p: _Parser) -> None:
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strategy", choices=sorted(STRATEGY_ALIASES))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--n-proj", dest="n_proj", type=int, default=None)
-    p.add_argument("--pooling", choices=("mean", "max", "cls"), default=None)
-    p.add_argument("--mask-count", dest="mask_count", type=int, default=None)
-    p.add_argument("--variant", choices=("standard", "skip", "unconditioned"),
-                   default=None)
-    p.add_argument("--representation", choices=("pooled", "proj-mean"),
-                   default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                   default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int, default=None)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
-    p.add_argument("--stage1-steps", dest="stage1_steps", type=int, default=None)
-    p.add_argument("--stage2-steps", dest="stage2_steps", type=int, default=None)
-    p.add_argument("--nli-steps", dest="nli_steps", type=int, default=None)
+    p.add_argument("--seed", dest="seed", type=int)
+    p.add_argument("--strategy", dest="strategy",
+                   choices=(*STRATEGY_ALIASES, *STRATEGIES))
+    p.add_argument("--alpha", dest="alpha", type=float)
+    p.add_argument("--margin", dest="margin", type=float)
+    p.add_argument("--n-proj", dest="n_projections", type=int)
+    p.add_argument("--pooling", dest="pooling", choices=POOLING_KINDS)
+    p.add_argument("--mask-count", dest="num_mask", type=int)
+    p.add_argument("--variant", dest="variant", choices=CMLM_VARIANTS)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
+    p.add_argument("--vocab-size", dest="vocab_size", type=int)
+    p.add_argument("--stage1-steps", dest="stage1_steps", type=int)
+    p.add_argument("--stage2-steps", dest="stage2_steps", type=int)
+    p.add_argument("--nli-steps", dest="nli_steps", type=int)
 
 
 def build_parser() -> _Parser:
@@ -326,10 +302,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="run the configured training plan")
     _add_config_flags(p)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--bitext", default=None)
-    p.add_argument("--nli", default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--corpus", dest="corpus_path")
+    p.add_argument("--bitext", dest="bitext_path")
+    p.add_argument("--nli", dest="nli_path")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
@@ -337,8 +313,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--representation", choices=("pooled", "proj-mean"),
-                   default="pooled")
+    p.add_argument("--representation", default="pooled",
+                   choices=[r.replace("_", "-") for r in REPRESENTATIONS])
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("eval-retrieval",
@@ -382,7 +358,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate-n",
                        help="sweep projection counts and variants")
     _add_config_flags(p)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", dest="corpus_path", required=True)
     p.add_argument("--values", default="1,5,10,15,20")
     p.add_argument("--variants", default="standard,skip,proj")
     p.add_argument("--steps", type=int, default=300)

@@ -1,62 +1,37 @@
-"""Flat ``key = value`` run configuration with typed defaults.
+"""Flat ``key = value`` run configuration.
 
-Every field has a default; unknown keys are rejected so typos never pass
-silently. A config round-trips through ``to_file``/``from_file``.
+The keys are the fields of ``EncoderConfig`` followed by those of
+``TrainPlan``, with their defaults; ``vocab_size``, which ``EncoderConfig``
+requires, defaults to 256 (a target; training shrinks it to the vocabulary
+the corpus yields). Unknown keys are rejected so typos never pass silently.
+A config round-trips through ``to_file``/``from_file``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, asdict
+from dataclasses import MISSING, field, fields, make_dataclass, replace
 
 from .errors import ContractError
 from .model import EncoderConfig
 from .training import TrainPlan
 
+DEFAULT_VOCAB_SIZE = 256
 
-@dataclass
-class RunConfig:
-    # encoder architecture
-    layers: int = 2
-    heads: int = 4
-    hidden: int = 64
-    ff: int = 128
-    max_len: int = 64
-    n_projections: int = 15
-    pooling: str = "mean"
-    dropout: float = 0.1
-    vocab_size: int = 256
-    # training plan
-    strategy: str = "cmlm_only"
-    stage1_steps: int = 2000
-    stage2_steps: int = 0
-    nli_steps: int = 0
-    alpha: float = 0.2
-    margin: float = 0.3
-    batch_size: int = 32
-    num_mask: int = 0
-    variant: str = "standard"
-    optimizer: str = "lamb"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-6
-    weight_decay: float = 0.0
-    warmup_steps: int = 100
-    seed: int = 0
-    log_every: int = 1
-    checkpoint_every: int = 500
-    # inference
-    representation: str = "pooled"
-    # data and outputs
-    corpus_path: str = ""
-    bitext_path: str = ""
-    nli_path: str = ""
-    out_dir: str = ""
 
+def _schema() -> list[tuple[str, type, object]]:
+    out = []
+    for owner in (EncoderConfig, TrainPlan):
+        for f in fields(owner):
+            default = DEFAULT_VOCAB_SIZE if f.default is MISSING else f.default
+            # every key has a typed default, so the default's type is the schema
+            out.append((f.name, type(default), field(default=default)))
+    return out
+
+
+class _RunConfigMethods:
     @classmethod
     def field_types(cls) -> dict[str, type]:
-        # every field has a typed default, so the default's type is the schema
-        return {f.name: type(f.default) for f in fields(cls)}
+        return {f.name: f.type for f in fields(cls)}
 
     @classmethod
     def _coerce(cls, key: str, raw: str):
@@ -99,30 +74,22 @@ class RunConfig:
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """New config with the given fields replaced; unknown keys error."""
         known = {f.name for f in fields(self)}
-        values = asdict(self)
-        for key, value in overrides.items():
+        for key in overrides:
             if key not in known:
                 raise ContractError(f"unknown config key {key!r}")
-            values[key] = value
-        return RunConfig(**values)
+        return replace(self, **overrides)
+
+    def _build(self, owner):
+        return owner(**{f.name: getattr(self, f.name) for f in fields(owner)})
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=self.vocab_size, layers=self.layers, heads=self.heads,
-            hidden=self.hidden, ff=self.ff, max_len=self.max_len,
-            n_projections=self.n_projections, pooling=self.pooling,
-            dropout=self.dropout)
+        return self._build(EncoderConfig)
 
     def train_plan(self) -> TrainPlan:
-        return TrainPlan(
-            strategy=self.strategy, stage1_steps=self.stage1_steps,
-            stage2_steps=self.stage2_steps, nli_steps=self.nli_steps,
-            alpha=self.alpha, margin=self.margin, batch_size=self.batch_size,
-            num_mask=self.num_mask, variant=self.variant,
-            optimizer=self.optimizer, learning_rate=self.learning_rate,
-            beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            weight_decay=self.weight_decay, warmup_steps=self.warmup_steps,
-            seed=self.seed, log_every=self.log_every,
-            checkpoint_every=self.checkpoint_every,
-            corpus_path=self.corpus_path, bitext_path=self.bitext_path,
-            nli_path=self.nli_path, out_dir=self.out_dir)
+        return self._build(TrainPlan)
+
+
+RunConfig = make_dataclass(
+    "RunConfig", _schema(), bases=(_RunConfigMethods,),
+    namespace={"__module__": __name__,
+               "__doc__": "Every EncoderConfig and TrainPlan field, flat."})

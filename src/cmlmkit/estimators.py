@@ -10,14 +10,20 @@ from __future__ import annotations
 import inspect
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ContractError, DataError
-from .evaluation import EmbeddingSet, pcr_debias, project_2d
-from .model import EncoderConfig, embed_texts
-from .spectral import first_principal_direction
-from .training import TrainPlan, load_checkpoint, run_plan
+from .evaluation import (_directions_per_tag, _planar_basis, _remove_directions,
+                         _softmax_regression)
+from .model import embed_texts
+from .training import load_checkpoint, run_plan
+
+# SentenceEncoder parameters: every RunConfig key but corpus_path, which
+# fit supplies
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "corpus_path")
 
 
 def check_matrix(x, name: str = "X", min_rows: int = 1) -> np.ndarray:
@@ -36,11 +42,19 @@ def check_matrix(x, name: str = "X", min_rows: int = 1) -> np.ndarray:
 
 
 def check_tags(tags, n_rows: int) -> list[str]:
+    """One string tag per row; every row is tagged "all" when none are given."""
+    if tags is None:
+        return ["all"] * n_rows
     tags = [str(t) for t in tags]
     if len(tags) != n_rows:
         raise ContractError(
             f"expected {n_rows} tags, got {len(tags)}")
     return tags
+
+
+def _tagged(documents):
+    """(language, sentences) per document; an untagged document is "base"."""
+    return [doc if isinstance(doc, tuple) else ("base", doc) for doc in documents]
 
 
 class BaseEstimator:
@@ -73,67 +87,26 @@ class BaseEstimator:
 class SentenceEncoder(BaseEstimator):
     """Trainable sentence embedder: fit on documents, transform sentences.
 
+    The parameters are the ``RunConfig`` keys, with the same defaults,
+    except ``corpus_path``, which ``fit`` supplies; plus ``representation``,
+    the ``embed_texts`` output that ``transform`` returns.
+
     ``fit`` accepts either a corpus file path or an in-memory list of
     documents (each a list of sentences, or a ``(language, sentences)``
     tuple). Training follows the configured multistage plan; ``transform``
     embeds sentences with the frozen encoder.
     """
 
-    def __init__(self, strategy: str = "cmlm_only", steps: int = 2000,
-                 stage2_steps: int = 0, hidden: int = 64, layers: int = 2,
-                 heads: int = 4, ff: int = 128, max_len: int = 64,
-                 n_projections: int = 15, pooling: str = "mean",
-                 dropout: float = 0.1, vocab_size: int = 256,
-                 batch_size: int = 32, num_mask: int = 0, alpha: float = 0.2,
-                 margin: float = 0.3, learning_rate: float = 1e-3,
-                 warmup_steps: int = 100, optimizer: str = "lamb",
-                 variant: str = "standard", representation: str = "pooled",
-                 bitext_path: str = "", nli_path: str = "", nli_steps: int = 0,
-                 seed: int = 0, out_dir: str = ""):
-        self.strategy = strategy
-        self.steps = steps
-        self.stage2_steps = stage2_steps
-        self.hidden = hidden
-        self.layers = layers
-        self.heads = heads
-        self.ff = ff
-        self.max_len = max_len
-        self.n_projections = n_projections
-        self.pooling = pooling
-        self.dropout = dropout
-        self.vocab_size = vocab_size
-        self.batch_size = batch_size
-        self.num_mask = num_mask
-        self.alpha = alpha
-        self.margin = margin
-        self.learning_rate = learning_rate
-        self.warmup_steps = warmup_steps
-        self.optimizer = optimizer
-        self.variant = variant
+    def __init__(self, representation: str = "pooled", **config):
         self.representation = representation
-        self.bitext_path = bitext_path
-        self.nli_path = nli_path
-        self.nli_steps = nli_steps
-        self.seed = seed
-        self.out_dir = out_dir
+        defaults = RunConfig()
+        for name in _CONFIG_KEYS:
+            setattr(self, name, getattr(defaults, name))
+        self.set_params(**config)
 
-    def _encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=self.vocab_size, layers=self.layers, heads=self.heads,
-            hidden=self.hidden, ff=self.ff, max_len=self.max_len,
-            n_projections=self.n_projections, pooling=self.pooling,
-            dropout=self.dropout)
-
-    def _plan(self, corpus_path: str) -> TrainPlan:
-        return TrainPlan(
-            strategy=self.strategy, stage1_steps=self.steps,
-            stage2_steps=self.stage2_steps, nli_steps=self.nli_steps,
-            alpha=self.alpha, margin=self.margin, batch_size=self.batch_size,
-            num_mask=self.num_mask, variant=self.variant,
-            optimizer=self.optimizer, learning_rate=self.learning_rate,
-            warmup_steps=self.warmup_steps, seed=self.seed,
-            corpus_path=corpus_path, bitext_path=self.bitext_path,
-            nli_path=self.nli_path, out_dir=self.out_dir)
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        return [*_CONFIG_KEYS, "representation"]
 
     def fit(self, documents, y=None) -> "SentenceEncoder":
         if isinstance(documents, str):
@@ -143,16 +116,17 @@ class SentenceEncoder(BaseEstimator):
             tmp = tempfile.NamedTemporaryFile(
                 "w", suffix=".txt", delete=False, encoding="utf-8")
             with tmp as fh:
-                for i, doc in enumerate(documents):
-                    tag, sentences = doc if isinstance(doc, tuple) else ("base", doc)
+                for i, (tag, sentences) in enumerate(_tagged(documents)):
                     if i:
                         fh.write("\n")
                     for sentence in sentences:
                         fh.write(f"{tag}\t{sentence}\n")
             corpus_path = tmp.name
+        config = RunConfig(corpus_path=corpus_path, **{
+            name: getattr(self, name) for name in _CONFIG_KEYS})
         try:
-            params, history, handles = run_plan(self._encoder_config(),
-                                                self._plan(corpus_path))
+            params, history, handles = run_plan(config.encoder_config(),
+                                                config.train_plan())
         finally:
             if tmp is not None:
                 os.unlink(corpus_path)
@@ -174,18 +148,13 @@ class SentenceEncoder(BaseEstimator):
     def transform(self, sentences) -> np.ndarray:
         if not hasattr(self, "params_"):
             raise ContractError("SentenceEncoder is not fitted")
-        representation = "proj_mean" if self.representation in (
-            "proj_mean", "proj-mean") else "pooled"
         return embed_texts(list(sentences), self.params_, self.config_,
-                           self.vocab_, representation=representation)
+                           self.vocab_, representation=self.representation)
 
     def fit_transform(self, documents, y=None) -> np.ndarray:
         self.fit(documents)
-        sentences = []
-        if not isinstance(documents, str):
-            for doc in documents:
-                _, doc_sentences = doc if isinstance(doc, tuple) else ("base", doc)
-                sentences.extend(doc_sentences)
+        sentences = [] if isinstance(documents, str) else [
+            s for _, doc_sentences in _tagged(documents) for s in doc_sentences]
         if not sentences:
             raise DataError("fit_transform needs in-memory documents")
         return self.transform(sentences)
@@ -195,39 +164,24 @@ class PrincipalComponentRemover(BaseEstimator):
     """Removes each row's projection onto its group's top singular direction.
 
     Directions are learned per language tag on ``fit`` and reapplied by
-    ``transform``; ``fit_transform`` recomputes them from the given rows,
-    matching the evaluation-time protocol.
+    ``transform``; ``fit_transform`` fits on the given rows and transforms
+    them, matching the evaluation-time protocol of ``pcr_debias``.
     """
-
-    def __init__(self):
-        pass
 
     def fit(self, X, tags=None) -> "PrincipalComponentRemover":
         x = check_matrix(X)
-        tags = check_tags(tags if tags is not None else ["all"] * len(x), len(x))
-        self.directions_ = {}
-        arr = np.asarray(tags)
-        for tag in sorted(set(tags)):
-            self.directions_[tag] = first_principal_direction(x[arr == tag])
+        self.directions_ = _directions_per_tag(x, check_tags(tags, len(x)))
         return self
 
     def transform(self, X, tags=None) -> np.ndarray:
         if not hasattr(self, "directions_"):
             raise ContractError("PrincipalComponentRemover is not fitted")
         x = check_matrix(X)
-        tags = check_tags(tags if tags is not None else ["all"] * len(x), len(x))
-        out = x.copy()
-        for i, tag in enumerate(tags):
-            direction = self.directions_.get(tag)
-            if direction is None:
-                raise DataError(f"no direction learned for tag {tag!r}")
-            out[i] = out[i] - (out[i] @ direction) * direction
-        return out
+        return _remove_directions(x, check_tags(tags, len(x)),
+                                  self.directions_)
 
     def fit_transform(self, X, tags=None) -> np.ndarray:
-        x = check_matrix(X)
-        tags = check_tags(tags if tags is not None else ["all"] * len(x), len(x))
-        return pcr_debias(EmbeddingSet(x, tags)).vectors
+        return self.fit(X, tags).transform(X, tags)
 
 
 class LogisticProbe(BaseEstimator):
@@ -243,25 +197,8 @@ class LogisticProbe(BaseEstimator):
         self.classes_ = np.unique(y)
         if self.classes_.size < 2:
             raise ContractError("probe needs at least two classes")
-        index = {c: i for i, c in enumerate(self.classes_.tolist())}
-        labels = np.array([index[c] for c in y.tolist()])
-        self._mu = x.mean(axis=0)
-        self._sigma = np.maximum(x.std(axis=0), 1e-8)
-        xs = (x - self._mu) / self._sigma
-        k = self.classes_.size
-        w = np.zeros((x.shape[1], k))
-        b = np.zeros(k)
-        onehot = np.eye(k)[labels]
-        for _ in range(self.steps):
-            logits = xs @ w + b
-            logits -= logits.max(axis=1, keepdims=True)
-            probs = np.exp(logits)
-            probs /= probs.sum(axis=1, keepdims=True)
-            grad = (probs - onehot) / len(xs)
-            w -= self.learning_rate * (xs.T @ grad)
-            b -= self.learning_rate * grad.sum(axis=0)
-        self.coef_ = w
-        self.intercept_ = b
+        self._mu, self._sigma, self.coef_, self.intercept_ = _softmax_regression(
+            x, y, self.classes_, self.learning_rate, self.steps)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -277,23 +214,14 @@ class LogisticProbe(BaseEstimator):
 class PlanarProjector(BaseEstimator):
     """Projects rows onto the top-2 principal directions of the fitted data."""
 
-    def __init__(self):
-        pass
-
     def fit(self, X, y=None) -> "PlanarProjector":
-        x = check_matrix(X, min_rows=3)
-        es = EmbeddingSet(x, ["all"] * len(x))
-        project_2d(es)  # validates rank >= 2
-        self._mean = x.mean(axis=0)
-        from .spectral import top_two_directions
-        self.directions_ = np.stack(top_two_directions(x - self._mean))
+        self._mean, self.directions_ = _planar_basis(check_matrix(X, min_rows=3))
         return self
 
     def transform(self, X) -> np.ndarray:
         if not hasattr(self, "directions_"):
             raise ContractError("PlanarProjector is not fitted")
-        x = check_matrix(X)
-        return (x - self._mean) @ self.directions_.T
+        return (check_matrix(X) - self._mean) @ self.directions_.T
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).transform(X)

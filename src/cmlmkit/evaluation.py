@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import (ContractError, DataError, DegenerateInputError,
-                     DimensionError, IntegrityError)
+                     DimensionError, IntegrityError, read_exact)
 from .spectral import first_principal_direction, top_two_directions
 
 EMBEDDING_MAGIC = b"CMLMEMB1"
-EMBEDDING_VERSION = 1
+EMBEDDING_VERSION = 2
 
 ORTHOGONALITY_TOL = 1e-6
 
@@ -66,7 +67,7 @@ def cosine_similarity(a, b) -> float:
     return float(a @ b / (na * nb))
 
 
-def _normalized_rows(matrix: np.ndarray, what: str) -> np.ndarray:
+def normalized_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -89,10 +90,37 @@ def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
             f"gold map must assign one candidate per query, got shape {gold.shape}")
     if gold.min() < 0 or gold.max() >= len(candidates):
         raise ContractError("gold map points outside the candidate set")
-    sims = _normalized_rows(queries.vectors, "query") @ \
-        _normalized_rows(candidates.vectors, "candidate").T
+    sims = normalized_rows(queries.vectors, "query") @ \
+        normalized_rows(candidates.vectors, "candidate").T
     best = np.argmax(sims, axis=1)  # first maximum wins
     return float(np.mean(best == gold))
+
+
+def _directions_per_tag(vectors: np.ndarray, tags) -> dict[str, np.ndarray]:
+    """Top singular direction of each tag's rows, keyed by tag."""
+    tags = np.asarray(tags)
+    directions = {}
+    for tag in sorted(set(tags.tolist())):
+        try:
+            directions[tag] = first_principal_direction(vectors[tags == tag])
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(
+                f"language {tag!r} has an all-zero embedding group") from exc
+    return directions
+
+
+def _remove_directions(vectors: np.ndarray, tags,
+                       directions: dict[str, np.ndarray]) -> np.ndarray:
+    """Each row minus its projection onto its tag's direction (float64)."""
+    tags = np.asarray(tags)
+    out = vectors.astype(np.float64)
+    for tag in sorted(set(tags.tolist())):
+        if tag not in directions:
+            raise DataError(f"no direction learned for tag {tag!r}")
+        rows = tags == tag
+        group = out[rows]
+        out[rows] = group - np.outer(group @ directions[tag], directions[tag])
+    return out
 
 
 def pcr_debias(es: EmbeddingSet) -> EmbeddingSet:
@@ -101,17 +129,8 @@ def pcr_debias(es: EmbeddingSet) -> EmbeddingSet:
     Directions are computed per language from the set itself; output rows are
     orthogonal to their language's direction within 1e-6.
     """
-    out = es.vectors.astype(np.float64).copy()
-    tags = np.asarray(es.languages)
-    for tag in es.tag_set:
-        rows = np.where(tags == tag)[0]
-        group = out[rows]
-        try:
-            direction = first_principal_direction(group)
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(
-                f"language {tag!r} has an all-zero embedding group") from exc
-        out[rows] = group - np.outer(group @ direction, direction)
+    out = _remove_directions(es.vectors, es.languages,
+                             _directions_per_tag(es.vectors, es.languages))
     return EmbeddingSet(out.astype(es.vectors.dtype), list(es.languages),
                         list(es.ids),
                         None if es.labels is None else es.labels.copy())
@@ -132,8 +151,8 @@ def language_bias_histogram(queries: EmbeddingSet, pool: EmbeddingSet,
     if k > len(pool) - 1:
         raise ContractError(
             f"k={k} exceeds pool size minus the excluded self row ({len(pool) - 1})")
-    sims = _normalized_rows(queries.vectors, "query") @ \
-        _normalized_rows(pool.vectors, "pool").T
+    sims = normalized_rows(queries.vectors, "query") @ \
+        normalized_rows(pool.vectors, "pool").T
     pool_keys = list(zip(pool.ids, pool.languages))
     key_to_rows: dict[tuple[str, str], list[int]] = {}
     for i, key in enumerate(pool_keys):
@@ -169,14 +188,25 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
         raise DataError(
             f"test classes {missing.tolist()} absent from the training set")
 
-    class_index = {c: i for i, c in enumerate(train_classes.tolist())}
-    y = np.array([class_index[c] for c in train.labels.tolist()])
-    x = train.vectors.astype(np.float64)
+    mu, sigma, w, b = _softmax_regression(
+        train.vectors.astype(np.float64), train.labels, train_classes,
+        learning_rate, steps)
+    xt = (test.vectors.astype(np.float64) - mu) / sigma
+    pred = train_classes[np.argmax(xt @ w + b, axis=1)]
+    return float(np.mean(pred == test.labels))
+
+
+def _softmax_regression(x: np.ndarray, labels, classes: np.ndarray,
+                        learning_rate: float, steps: int):
+    """Standardize ``x``, then fit multinomial logistic regression by
+    full-batch gradient descent from zero; returns (mu, sigma, w, b)."""
+    class_index = {c: i for i, c in enumerate(classes.tolist())}
+    y = np.array([class_index[c] for c in np.asarray(labels).tolist()])
     mu = x.mean(axis=0)
     sigma = np.maximum(x.std(axis=0), 1e-8)
     x = (x - mu) / sigma
     n, d = x.shape
-    k = train_classes.size
+    k = classes.size
     w = np.zeros((d, k))
     b = np.zeros(k)
     onehot = np.eye(k)[y]
@@ -188,11 +218,7 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
         grad_logits = (probs - onehot) / n
         w -= learning_rate * (x.T @ grad_logits)
         b -= learning_rate * grad_logits.sum(axis=0)
-
-    xt = (test.vectors.astype(np.float64) - mu) / sigma
-    pred = np.argmax(xt @ w + b, axis=1)
-    gold = np.array([class_index[c] for c in test.labels.tolist()])
-    return float(np.mean(pred == gold))
+    return mu, sigma, w, b
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
@@ -233,13 +259,19 @@ _SVG_PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
                 "#aa3377", "#bbbbbb", "#000000")
 
 
+def _planar_basis(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and the top-2 principal directions (as rows) of a set of rows."""
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.shape[0] < 3 or x.shape[1] < 2:
+        raise DimensionError("2-d projection needs n >= 3 rows and d >= 2")
+    mean = x.mean(axis=0)
+    return mean, np.stack(top_two_directions(x - mean))
+
+
 def project_2d(es: EmbeddingSet) -> np.ndarray:
     """Coordinates on the top-2 principal directions of the centered set."""
-    if len(es) < 3 or es.vectors.shape[1] < 2:
-        raise DimensionError("2-d projection needs n >= 3 rows and d >= 2")
-    centered = es.vectors.astype(np.float64) - \
-        es.vectors.astype(np.float64).mean(axis=0)
-    c1, c2 = top_two_directions(centered)
+    mean, (c1, c2) = _planar_basis(es.vectors)
+    centered = es.vectors.astype(np.float64) - mean
     return np.stack([centered @ c1, centered @ c2], axis=1)
 
 
@@ -293,8 +325,9 @@ def _write_svg(es: EmbeddingSet, coords: np.ndarray, path: str,
 # ---------------------------------------------------------------------------
 
 def save_embeddings(es: EmbeddingSet, path: str) -> None:
-    """Binary layout: magic, version, count, dim, tag table, then rows of
-    (tag index, little-endian float32 vector)."""
+    """Binary layout (version 2): magic, version, count, dim, tag table, then
+    rows of (tag index, id length, UTF-8 id, little-endian float32 vector).
+    Version 1 rows hold no id."""
     tags = es.tag_set
     tag_index = {tag: i for i, tag in enumerate(tags)}
     vectors = es.vectors.astype(np.float32)
@@ -308,39 +341,40 @@ def save_embeddings(es: EmbeddingSet, path: str) -> None:
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
         for i in range(vectors.shape[0]):
-            fh.write(struct.pack("<I", tag_index[es.languages[i]]))
+            row_id = str(es.ids[i]).encode("utf-8")
+            fh.write(struct.pack("<II", tag_index[es.languages[i]], len(row_id)))
+            fh.write(row_id)
             fh.write(np.ascontiguousarray(
                 vectors[i], dtype=np.dtype(np.float32).newbyteorder("<")).tobytes())
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise IntegrityError("embedding file truncated", offset=fh.tell())
-    return data
-
-
 def load_embeddings(path: str) -> EmbeddingSet:
+    """Read a version 1 or 2 file; version 1 rows get their row numbers as ids."""
     with open(path, "rb") as fh:
+        read = partial(read_exact, fh, what="embedding file")
         magic = fh.read(len(EMBEDDING_MAGIC))
         if magic != EMBEDDING_MAGIC:
             raise IntegrityError("bad embedding file magic", offset=0)
-        version, count, dim = struct.unpack("<III", _read_exact(fh, 12))
-        if version != EMBEDDING_VERSION:
+        version, count, dim = struct.unpack("<III", read(12))
+        if version not in (1, EMBEDDING_VERSION):
             raise IntegrityError(f"unsupported embedding version {version}",
                                  offset=8)
-        (n_tags,) = struct.unpack("<I", _read_exact(fh, 4))
+        (n_tags,) = struct.unpack("<I", read(4))
         tags = []
         for _ in range(n_tags):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4))
-            tags.append(_read_exact(fh, length).decode("utf-8"))
+            (length,) = struct.unpack("<I", read(4))
+            tags.append(read(length).decode("utf-8"))
         vectors = np.empty((count, dim), dtype=np.float32)
         languages = []
+        ids = []
         for i in range(count):
-            (tag_idx,) = struct.unpack("<I", _read_exact(fh, 4))
+            (tag_idx,) = struct.unpack("<I", read(4))
             if tag_idx >= len(tags):
                 raise IntegrityError(f"tag index {tag_idx} out of range",
                                      offset=fh.tell())
             languages.append(tags[tag_idx])
-            vectors[i] = np.frombuffer(_read_exact(fh, 4 * dim), dtype="<f4")
-    return EmbeddingSet(vectors, languages)
+            if version >= 2:
+                (length,) = struct.unpack("<I", read(4))
+                ids.append(read(length).decode("utf-8"))
+            vectors[i] = np.frombuffer(read(4 * dim), dtype="<f4")
+    return EmbeddingSet(vectors, languages, ids)

@@ -20,8 +20,6 @@ from .model import EncoderConfig, encode, encode_and_pool, project
 
 CMLM_VARIANTS = ("standard", "skip", "unconditioned")
 
-NLI_LABELS = ("entailment", "contradiction", "neutral")
-
 
 @dataclass
 class BitextBatch:

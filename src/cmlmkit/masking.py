@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError
-from .text import CLS, MASK, NUM_RESERVED, Vocab, tokenize
+from .text import CLS, MASK, NUM_RESERVED, Vocab, pad_token_lists, tokenize
 
 MASK_FRACTION_OF_MAX_LEN = 0.3125  # 80 masked out of a 256-token window
 MASK_ACTION_PROBS = (0.8, 0.1, 0.1)  # [MASK] token / random id / unchanged
@@ -123,33 +123,11 @@ def mask_tokens(s2_tokens: list[int], num_mask: int, vocab: Vocab,
     return corrupted, positions, labels
 
 
-def _pad(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(r) for r in rows)
-    ids = np.zeros((len(rows), width), dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=np.float32)
-    for i, r in enumerate(rows):
-        ids[i, :len(r)] = r
-        mask[i, :len(r)] = 1.0
-    return ids, mask
-
-
 def make_batch(pairs: list[SentencePair], vocab: Vocab, num_mask: int,
-               rng: np.random.Generator,
-               batch_size: int | None = None) -> MaskedPairBatch:
-    """Mask and pad a batch; pads to the longest sequence per side.
-
-    With ``batch_size`` set, that many pairs are sampled from the pool
-    (without replacement when possible); otherwise the given pairs are used
-    as-is.
-    """
+               rng: np.random.Generator) -> MaskedPairBatch:
+    """Mask and pad the given pairs; pads to the longest sequence per side."""
     if not pairs:
         raise DataError("cannot build a batch from an empty pair list")
-    if batch_size is not None:
-        if batch_size < 1:
-            raise ContractError(f"batch_size must be positive, got {batch_size}")
-        chosen = rng.choice(len(pairs), size=batch_size,
-                            replace=len(pairs) < batch_size)
-        pairs = [pairs[i] for i in chosen]
 
     corrupted_rows: list[list[int]] = []
     positions: list[np.ndarray] = []
@@ -160,6 +138,6 @@ def make_batch(pairs: list[SentencePair], vocab: Vocab, num_mask: int,
         positions.append(pos)
         labels.append(lab)
 
-    s1_ids, s1_mask = _pad([p.s1_tokens for p in pairs])
-    s2_ids, s2_mask = _pad(corrupted_rows)
+    s1_ids, s1_mask = pad_token_lists([p.s1_tokens for p in pairs])
+    s2_ids, s2_mask = pad_token_lists(corrupted_rows)
     return MaskedPairBatch(s1_ids, s1_mask, s2_ids, s2_mask, positions, labels)

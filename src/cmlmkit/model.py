@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DataError, DimensionError
-from .text import CLS, Vocab, tokenize
+from .text import CLS, Vocab, pad_token_lists, tokenize
 
 ATTENTION_MASK_BIAS = -1e9
 INIT_STDDEV = 0.02
@@ -265,6 +265,8 @@ def embed_texts(texts: list[str], params: dict[str, Tensor],
     if representation not in REPRESENTATIONS:
         raise ContractError(
             f"representation must be one of {REPRESENTATIONS}, got {representation!r}")
+    if not texts:
+        raise DataError("no texts to embed")
     rows = []
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]
@@ -276,12 +278,7 @@ def embed_texts(texts: list[str], params: dict[str, Tensor],
             if not ids:
                 raise DataError(f"text tokenizes to nothing: {text!r}")
             token_lists.append(ids)
-        width = max(len(t) for t in token_lists)
-        ids = np.zeros((len(chunk), width), dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=np.float32)
-        for i, t in enumerate(token_lists):
-            ids[i, :len(t)] = t
-            mask[i, :len(t)] = 1.0
+        ids, mask = pad_token_lists(token_lists)
         v = encode_and_pool(ids, mask, params, config)
         if representation == "proj_mean":
             v = ad.tmean(project(v, params, config), axis=1)

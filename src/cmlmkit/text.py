@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from .errors import ContractError, DataError
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
@@ -121,3 +123,15 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     for word in normalize(text).split():
         ids.extend(vocab.encode_word(word))
     return ids
+
+
+def pad_token_lists(token_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id lists with [PAD] to the longest one; returns (ids [B, L]
+    int64, mask [B, L] float32 with 1 at real tokens)."""
+    width = max(len(t) for t in token_lists)
+    ids = np.full((len(token_lists), width), PAD, dtype=np.int64)
+    mask = np.zeros((len(token_lists), width), dtype=np.float32)
+    for i, tokens in enumerate(token_lists):
+        ids[i, :len(tokens)] = tokens
+        mask[i, :len(tokens)] = 1.0
+    return ids, mask

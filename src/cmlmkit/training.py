@@ -21,20 +21,21 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import GradientTape, Tensor
 from .errors import (ConfigMismatchError, ContractError, DataError,
-                     IntegrityError, NonFiniteError, TrainingDiverged)
+                     IntegrityError, NonFiniteError, TrainingDiverged,
+                     read_exact)
 from .losses import (BitextBatch, NLIBatch, bitext_loss, cmlm_loss,
                      combined_loss, in_batch_retrieval_accuracy, nli_loss)
 from .masking import default_num_mask, make_batch, make_pairs
 from .model import EncoderConfig, encode_and_pool, init_params
 from .optim import OptimizerState, optimizer_step
 from .synth import NLI_LABEL_NAMES
-from .text import Vocab, build_vocab
+from .text import Vocab, build_vocab, pad_token_lists, tokenize
 
 CHECKPOINT_MAGIC = b"CMLMCKPT"
 CHECKPOINT_VERSION = 1
@@ -104,13 +105,6 @@ class TrainPlan:
 
     def needs_bitext(self) -> bool:
         return any(kind in ("joint", "br") for kind, _ in self.stages())
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainPlan":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +197,17 @@ def _write_tensor(fh, name: str, array: np.ndarray) -> None:
              .tobytes())
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise IntegrityError("checkpoint truncated", offset=fh.tell())
-    return data
-
-
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (tag,) = struct.unpack("<B", _read_exact(fh, 1))
+    (name_len,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
+    name = read_exact(fh, name_len, "checkpoint").decode("utf-8")
+    (tag,) = struct.unpack("<B", read_exact(fh, 1, "checkpoint"))
     if tag not in _TAG_DTYPES:
         raise IntegrityError(f"unknown dtype tag {tag}", offset=fh.tell())
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-    shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
+    (rank,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
+    shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "checkpoint"))
     dtype = _TAG_DTYPES[tag]
-    payload = _read_exact(fh, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
+    payload = read_exact(fh, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize,
+                         "checkpoint")
     return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
@@ -290,17 +278,18 @@ def load_checkpoint(path: str,
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise IntegrityError("bad checkpoint magic", offset=0)
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         if version != CHECKPOINT_VERSION:
             raise IntegrityError(f"unsupported checkpoint version {version}",
                                  offset=len(CHECKPOINT_MAGIC))
-        (manifest_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        (manifest_len,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         try:
-            manifest = json.loads(_read_exact(fh, manifest_len).decode("utf-8"))
+            manifest = json.loads(
+                read_exact(fh, manifest_len, "checkpoint").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"corrupt manifest: {exc}",
                                  offset=fh.tell()) from exc
-        (tensor_count,) = struct.unpack("<I", _read_exact(fh, 4))
+        (tensor_count,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(tensor_count):
             name, array = _read_tensor(fh)
@@ -335,16 +324,6 @@ def load_checkpoint(path: str,
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
-
-def _pad_token_lists(token_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(t) for t in token_lists)
-    ids = np.zeros((len(token_lists), width), dtype=np.int64)
-    mask = np.zeros((len(token_lists), width), dtype=np.float32)
-    for i, toks in enumerate(token_lists):
-        ids[i, :len(toks)] = toks
-        mask[i, :len(toks)] = 1.0
-    return ids, mask
-
 
 class _Run:
     def __init__(self, config: EncoderConfig, plan: TrainPlan):
@@ -381,7 +360,6 @@ class _Run:
 
         self.bitext: list[tuple[list[int], list[int]]] = []
         if plan.needs_bitext():
-            from .text import tokenize
             for src, tgt, _, _ in load_bitext(plan.bitext_path):
                 s = tokenize(src, self.vocab)[:self.config.max_len]
                 t = tokenize(tgt, self.vocab)[:self.config.max_len]
@@ -392,7 +370,6 @@ class _Run:
 
         self.nli: list[tuple[list[int], list[int], int]] = []
         if plan.nli_steps > 0:
-            from .text import tokenize
             for premise, hypo, label in load_nli(plan.nli_path):
                 p = tokenize(premise, self.vocab)[:self.config.max_len]
                 h = tokenize(hypo, self.vocab)[:self.config.max_len]
@@ -403,36 +380,34 @@ class _Run:
 
     # batch builders -------------------------------------------------------
 
+    def _sample(self, stream: str, pool: list) -> list:
+        """``batch_size`` items of ``pool`` drawn on the named RNG stream,
+        with replacement only when the pool is smaller than a batch."""
+        size = self.plan.batch_size
+        idx = self.rngs[stream].choice(len(pool), size=size,
+                                       replace=len(pool) < size)
+        return [pool[i] for i in idx]
+
+    def _pooled(self, token_lists, dropout_rng) -> Tensor:
+        ids, mask = pad_token_lists(token_lists)
+        return encode_and_pool(ids, mask, self.params, self.config,
+                               dropout_rng=dropout_rng)
+
     def _draw_cmlm_batch(self):
-        idx = self.rngs["sample"].choice(
-            len(self.pairs), size=self.plan.batch_size,
-            replace=len(self.pairs) < self.plan.batch_size)
-        chosen = [self.pairs[i] for i in idx]
-        return make_batch(chosen, self.vocab, self.num_mask, self.rngs["mask"])
+        return make_batch(self._sample("sample", self.pairs), self.vocab,
+                          self.num_mask, self.rngs["mask"])
 
     def _draw_bitext_vectors(self, dropout_rng):
-        idx = self.rngs["bitext"].choice(
-            len(self.bitext), size=self.plan.batch_size,
-            replace=len(self.bitext) < self.plan.batch_size)
-        src_ids, src_mask = _pad_token_lists([self.bitext[i][0] for i in idx])
-        tgt_ids, tgt_mask = _pad_token_lists([self.bitext[i][1] for i in idx])
-        src = encode_and_pool(src_ids, src_mask, self.params, self.config,
-                              dropout_rng=dropout_rng)
-        tgt = encode_and_pool(tgt_ids, tgt_mask, self.params, self.config,
-                              dropout_rng=dropout_rng)
+        rows = self._sample("bitext", self.bitext)
+        src = self._pooled([s for s, _ in rows], dropout_rng)
+        tgt = self._pooled([t for _, t in rows], dropout_rng)
         return src, tgt
 
     def _draw_nli_batch(self, dropout_rng):
-        idx = self.rngs["nli"].choice(
-            len(self.nli), size=self.plan.batch_size,
-            replace=len(self.nli) < self.plan.batch_size)
-        p_ids, p_mask = _pad_token_lists([self.nli[i][0] for i in idx])
-        h_ids, h_mask = _pad_token_lists([self.nli[i][1] for i in idx])
-        labels = np.array([self.nli[i][2] for i in idx], dtype=np.int64)
-        premise = encode_and_pool(p_ids, p_mask, self.params, self.config,
-                                  dropout_rng=dropout_rng)
-        hypothesis = encode_and_pool(h_ids, h_mask, self.params, self.config,
-                                     dropout_rng=dropout_rng)
+        rows = self._sample("nli", self.nli)
+        premise = self._pooled([p for p, _, _ in rows], dropout_rng)
+        hypothesis = self._pooled([h for _, h, _ in rows], dropout_rng)
+        labels = np.array([label for _, _, label in rows], dtype=np.int64)
         return NLIBatch(premise, hypothesis, labels)
 
     # single step ----------------------------------------------------------

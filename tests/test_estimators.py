@@ -9,10 +9,10 @@ from cmlmkit.estimators import (LogisticProbe, PlanarProjector,
 
 class TestParamProtocol:
     def test_get_params_reflects_constructor(self):
-        enc = SentenceEncoder(hidden=32, steps=10, seed=3)
+        enc = SentenceEncoder(hidden=32, stage1_steps=10, seed=3)
         params = enc.get_params()
         assert params["hidden"] == 32
-        assert params["steps"] == 10
+        assert params["stage1_steps"] == 10
         assert params["seed"] == 3
 
     def test_set_params_round_trip(self):
@@ -53,7 +53,7 @@ class TestSentenceEncoder:
         for _ in range(40):
             s = " ".join(rng.choice(words, size=3))
             docs.append(("base", [s, s]))
-        enc = SentenceEncoder(steps=25, hidden=16, layers=1, heads=2, ff=32,
+        enc = SentenceEncoder(stage1_steps=25, hidden=16, layers=1, heads=2, ff=32,
                               max_len=16, n_projections=3, vocab_size=64,
                               batch_size=4, num_mask=2, warmup_steps=5,
                               dropout=0.0, seed=1)
@@ -67,6 +67,17 @@ class TestSentenceEncoder:
         with pytest.raises(ContractError):
             SentenceEncoder().transform(["hello"])
 
+    def test_unknown_representation_rejected(self):
+        rng = np.random.default_rng(0)
+        words = ["kani", "moro", "tesu", "vilo"]
+        docs = [[" ".join(rng.choice(words, size=3))] * 2 for _ in range(8)]
+        enc = SentenceEncoder(stage1_steps=2, hidden=8, layers=1, heads=2,
+                              ff=16, max_len=8, n_projections=2, vocab_size=32,
+                              batch_size=4, num_mask=1, warmup_steps=1,
+                              representation="proj-means").fit(docs)
+        with pytest.raises(ContractError, match="representation"):
+            enc.transform(["kani moro tesu"])
+
 
 class TestPrincipalComponentRemover:
     def test_fit_transform_matches_functional_path(self):
@@ -78,6 +89,14 @@ class TestPrincipalComponentRemover:
         from cmlmkit.evaluation import EmbeddingSet, pcr_debias
         want = pcr_debias(EmbeddingSet(x, tags)).vectors
         np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_transform_after_fit_transform_reuses_fit(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((24, 5))
+        tags = ["a"] * 12 + ["b"] * 12
+        est = PrincipalComponentRemover()
+        once = est.fit_transform(x, tags)
+        np.testing.assert_array_equal(est.transform(x, tags), once)
 
     def test_learned_directions_reused(self):
         rng = np.random.default_rng(3)

@@ -352,6 +352,38 @@ class TestEmbeddingFile:
         np.testing.assert_array_equal(loaded.vectors, es.vectors)
         assert loaded.languages == es.languages
 
+    def test_ids_survive_reload(self, tmp_path):
+        # queries 0-2 each have as nearest neighbour the pool row with their
+        # row number and language; with ids dropped on save, that row would
+        # read as the query itself and be excluded
+        queries = EmbeddingSet(
+            np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.float32),
+            ["l0", "l1", "l0", "l1"], ids=["q0", "q1", "q2", "q3"])
+        pool = EmbeddingSet(
+            np.array([[1, 0.1], [0.1, 1], [-1, 0.1], [0.6, 0.8]],
+                     dtype=np.float32),
+            ["l0", "l1", "l0", "l1"], ids=["p0", "p1", "p2", "p3"])
+        in_memory = language_bias_histogram(queries, pool, k=1)
+        save_embeddings(queries, str(tmp_path / "q.emb"))
+        save_embeddings(pool, str(tmp_path / "p.emb"))
+        q2 = load_embeddings(str(tmp_path / "q.emb"))
+        p2 = load_embeddings(str(tmp_path / "p.emb"))
+        assert q2.ids == queries.ids and p2.ids == pool.ids
+        assert language_bias_histogram(q2, p2, k=1) == in_memory
+
+    def test_version_1_file_gets_row_number_ids(self, tmp_path):
+        import struct
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]], dtype="<f4")
+        blob = b"CMLMEMB1" + struct.pack("<IIII", 1, 2, 2, 1)
+        blob += struct.pack("<I", 2) + b"l0"
+        for row in vectors:
+            blob += struct.pack("<I", 0) + row.tobytes()
+        (tmp_path / "v1.emb").write_bytes(blob)
+        loaded = load_embeddings(str(tmp_path / "v1.emb"))
+        np.testing.assert_array_equal(loaded.vectors, vectors)
+        assert loaded.languages == ["l0", "l0"]
+        assert loaded.ids == ["0", "1"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.emb"
         path.write_bytes(b"NOTANEMB" + b"\x00" * 32)

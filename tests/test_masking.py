@@ -172,9 +172,3 @@ class TestMakeBatch:
     def test_empty_pairs_rejected(self, vocab):
         with pytest.raises(DataError):
             make_batch([], vocab, 1, np.random.default_rng(0))
-
-    def test_sampling_pool(self, vocab):
-        rng = np.random.default_rng(12)
-        pairs = make_pairs(["alpha beta"] * 9, vocab, rng, max_len=8)
-        batch = make_batch(pairs, vocab, num_mask=1, rng=rng, batch_size=4)
-        assert batch.batch_size == 4

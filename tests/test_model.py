@@ -171,6 +171,11 @@ class TestEmbedSentence:
         with pytest.raises(DataError):
             embed_sentence("   ", params, config, vocab)
 
+    def test_empty_list_rejected(self, setup):
+        vocab, config, params = setup
+        with pytest.raises(DataError):
+            embed_texts([], params, config, vocab)
+
     def test_batch_padding_matches_single(self, setup):
         vocab, config, params = setup
         texts = ["alpha", "alpha beta gamma delta epsilon"]
