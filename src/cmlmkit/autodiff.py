@@ -350,7 +350,7 @@ _GELU_A = 0.044715
 def gelu(a: Tensor) -> Tensor:
     # tanh approximation, as in the original BERT codebase
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * x * x * x)
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 

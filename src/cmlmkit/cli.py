@@ -135,8 +135,7 @@ def cmd_eval_retrieval(args) -> int:
         raise DataError(
             "row-aligned embedding files required (gold is the row index)")
     accuracy = retrieval_accuracy(queries, candidates, np.arange(len(queries)))
-    both = in_batch_retrieval_accuracy(queries.vectors.astype(np.float64),
-                                       candidates.vectors.astype(np.float64))
+    both = in_batch_retrieval_accuracy(queries.vectors, candidates.vectors)
     print(json.dumps({"retrieval_accuracy": accuracy,
                       "inner_product_accuracy": both}, sort_keys=True))
     return EXIT_OK
@@ -203,6 +202,13 @@ def cmd_plot2d(args) -> int:
     return EXIT_OK
 
 
+# the keys ablate-n sets for each run: (their config flag, the flag sweeping
+# them); setting one any other way would be silently ignored
+ABLATE_SWEPT = {"n_projections": ("--n-proj", "--values"),
+                "variant": ("--variant", "--variants"),
+                "stage1_steps": ("--stage1-steps", "--steps")}
+
+
 def cmd_ablate_n(args) -> int:
     values = [int(v) for v in args.values.split(",") if v.strip()]
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
@@ -210,6 +216,13 @@ def cmd_ablate_n(args) -> int:
         if v not in ("standard", "skip", "proj"):
             raise UsageError(f"unknown ablation variant {v!r}")
     config = _load_config(args)
+    for key, (flag, sweep) in ABLATE_SWEPT.items():
+        # a config file written by RunConfig.to_file holds every key, so
+        # only a value other than the default counts as setting it there
+        if getattr(args, key) is not None or \
+                getattr(config, key) != getattr(RunConfig(), key):
+            raise UsageError(f"ablate-n sets {key} for each run: sweep it "
+                             f"with {sweep}, not {flag} or the config file")
     lines = ["n\tvariant\tmasked_acc\tpair_retrieval\tfinal_loss"]
     for n in values:
         per_n = {}

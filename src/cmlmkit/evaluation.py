@@ -76,6 +76,58 @@ def normalized_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     return m / norms
 
 
+# Bytes of float64 scores held for one block of query rows; the similarity
+# kernel never materializes more of the query x pool matrix than this.
+SCORE_BLOCK_BYTES = 32 * 2 ** 20
+
+
+def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
+           exclude: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Indices [n_queries, k] of each query's k highest-scoring pool rows,
+    best first, with scores the float64 inner products ``queries @ pool.T``.
+
+    ``exclude`` holds (query row, pool row) index arrays, sorted by query
+    row; those pairs score -inf. Ties go to the lowest pool index, also at
+    the k-th boundary, so k=1 is the first maximum. Query rows are scored
+    in blocks of at most SCORE_BLOCK_BYTES of scores.
+    """
+    n_pool = pool.shape[0]
+    if not 1 <= k <= n_pool:
+        raise ContractError(f"k={k} must be in [1, {n_pool}]")
+    step = max(1, SCORE_BLOCK_BYTES // (8 * n_pool))
+    top = np.empty((queries.shape[0], k), dtype=np.int64)
+    for start in range(0, queries.shape[0], step):
+        scores = queries[start:start + step] @ pool.T
+        if exclude is not None:
+            lo, hi = np.searchsorted(exclude[0], [start, start + step])
+            scores[exclude[0][lo:hi] - start, exclude[1][lo:hi]] = -np.inf
+        top[start:start + step] = _block_top_k(scores, k)
+    return top
+
+
+def _block_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-k columns of each row of ``scores``, best first, ties lowest."""
+    if k == 1:
+        return np.argmax(scores, axis=1)[:, None]  # first maximum wins
+    n = scores.shape[1]
+    # column n - k now holds each row's k-th highest score, and columns n - k
+    # to n - 1 its k highest; the copy lets the full index array be freed
+    cols = np.argpartition(scores, n - k, axis=1)[:, n - k:].copy()
+    kth = np.take_along_axis(scores, cols[:, :1], axis=1)
+    ties = scores == kth
+    picked_ties = (np.take_along_axis(scores, cols, axis=1) == kth).sum(axis=1)
+    if np.any(ties.sum(axis=1) > picked_ties):
+        # argpartition chose among boundary ties: keep the lowest-index ones
+        places = k - (scores > kth).sum(axis=1)
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= places[:, None]
+        ties |= scores > kth
+        cols = np.nonzero(ties)[1].reshape(-1, k)
+    cols.sort(axis=1)
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
                        gold) -> float:
     """Fraction of queries whose nearest candidate by cosine is the gold one.
@@ -90,9 +142,8 @@ def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
             f"gold map must assign one candidate per query, got shape {gold.shape}")
     if gold.min() < 0 or gold.max() >= len(candidates):
         raise ContractError("gold map points outside the candidate set")
-    sims = normalized_rows(queries.vectors, "query") @ \
-        normalized_rows(candidates.vectors, "candidate").T
-    best = np.argmax(sims, axis=1)  # first maximum wins
+    best = _top_k(normalized_rows(queries.vectors, "query"),
+                  normalized_rows(candidates.vectors, "candidate"), 1)[:, 0]
     return float(np.mean(best == gold))
 
 
@@ -151,24 +202,20 @@ def language_bias_histogram(queries: EmbeddingSet, pool: EmbeddingSet,
     if k > len(pool) - 1:
         raise ContractError(
             f"k={k} exceeds pool size minus the excluded self row ({len(pool) - 1})")
-    sims = normalized_rows(queries.vectors, "query") @ \
-        normalized_rows(pool.vectors, "pool").T
-    pool_keys = list(zip(pool.ids, pool.languages))
-    key_to_rows: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(pool_keys):
-        key_to_rows.setdefault(key, []).append(i)
-
-    counts: dict[str, int] = {}
-    for qi in range(len(queries)):
-        row = sims[qi].copy()
-        for pi in key_to_rows.get((queries.ids[qi], queries.languages[qi]), []):
-            row[pi] = -np.inf
-        top = np.argsort(-row, kind="stable")[:k]
-        for pi in top:
-            tag = pool.languages[pi]
-            counts[tag] = counts.get(tag, 0) + 1
-    total = sum(counts.values())
-    return {tag: counts.get(tag, 0) / total for tag in pool.tag_set}
+    query_keys = list(zip(queries.ids, queries.languages))
+    rows_of: dict[tuple[str, str], list[int]] = {key: [] for key in query_keys}
+    for j, key in enumerate(zip(pool.ids, pool.languages)):
+        if key in rows_of:
+            rows_of[key].append(j)
+    excluded = [rows_of[key] for key in query_keys]
+    exclude = (np.repeat(np.arange(len(queries)), [len(r) for r in excluded]),
+               np.fromiter((j for r in excluded for j in r), dtype=np.int64))
+    top = _top_k(normalized_rows(queries.vectors, "query"),
+                 normalized_rows(pool.vectors, "pool"), k, exclude)
+    tags = pool.tag_set
+    tag_of_row = np.searchsorted(tags, pool.languages)
+    counts = np.bincount(tag_of_row[top.ravel()], minlength=len(tags))
+    return {tag: int(n) / top.size for tag, n in zip(tags, counts)}
 
 
 def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
@@ -363,7 +410,7 @@ def load_embeddings(path: str) -> EmbeddingSet:
         tags = []
         for _ in range(n_tags):
             (length,) = struct.unpack("<I", read(4))
-            tags.append(read(length).decode("utf-8"))
+            tags.append(_decode(read(length), fh, "language tag"))
         vectors = np.empty((count, dim), dtype=np.float32)
         languages = []
         ids = []
@@ -375,6 +422,16 @@ def load_embeddings(path: str) -> EmbeddingSet:
             languages.append(tags[tag_idx])
             if version >= 2:
                 (length,) = struct.unpack("<I", read(4))
-                ids.append(read(length).decode("utf-8"))
+                ids.append(_decode(read(length), fh, "row id"))
             vectors[i] = np.frombuffer(read(4 * dim), dtype="<f4")
     return EmbeddingSet(vectors, languages, ids)
+
+
+def _decode(raw: bytes, fh, what: str) -> str:
+    """``raw``, just read from ``fh``, as UTF-8, or ``IntegrityError`` at the
+    offset of its first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{what} is not valid UTF-8",
+                             offset=fh.tell() - len(raw) + exc.start) from None

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
+from .evaluation import _top_k
 from .masking import MaskedPairBatch
 from .model import EncoderConfig, encode, encode_and_pool, project
 
@@ -165,9 +166,11 @@ def bitext_loss(batch: BitextBatch) -> Tensor:
 
 
 def in_batch_retrieval_accuracy(source: np.ndarray, target: np.ndarray) -> float:
-    """Fraction of rows whose highest inner product is their own pair."""
-    phi = source @ target.T
-    return float(np.mean(np.argmax(phi, axis=1) == np.arange(phi.shape[0])))
+    """Fraction of rows whose highest float64 inner product is their own
+    pair; the first maximum wins."""
+    best = _top_k(np.asarray(source, dtype=np.float64),
+                  np.asarray(target, dtype=np.float64), 1)[:, 0]
+    return float(np.mean(best == np.arange(best.shape[0])))
 
 
 def nli_features(u: Tensor, v: Tensor) -> Tensor:

@@ -7,7 +7,7 @@ import pytest
 from cmlmkit.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                          dispatch)
 from cmlmkit.config import RunConfig
-from cmlmkit.errors import ContractError
+from cmlmkit.errors import ContractError, IntegrityError
 from cmlmkit.evaluation import EmbeddingSet, load_embeddings, save_embeddings
 
 
@@ -300,3 +300,48 @@ class TestAblateN:
         assert len(body) == 2 * 3  # two N values, three variants
         assert {row[0] for row in body} == {"1", "3"}
         assert {row[1] for row in body} == {"standard", "skip", "proj"}
+
+    @pytest.mark.parametrize("flag, sweep", [("--n-proj", "--values"),
+                                             ("--variant", "--variants"),
+                                             ("--stage1-steps", "--steps")])
+    def test_swept_setting_is_rejected(self, synth_dir, flag, sweep, capsys):
+        value = "skip" if flag == "--variant" else "3"
+        code, _, err = run_cli(
+            ["ablate-n", "--corpus", os.path.join(synth_dir, "corpus.txt"),
+             flag, value], capsys)
+        assert code == EXIT_USAGE
+        assert sweep in err and flag in err
+
+    def test_swept_key_in_config_is_rejected(self, synth_dir, tmp_path, capsys):
+        cfgfile = str(tmp_path / "n.cfg")
+        RunConfig(n_projections=3).to_file(cfgfile)
+        code, _, err = run_cli(
+            ["ablate-n", "--corpus", os.path.join(synth_dir, "corpus.txt"),
+             "--config", cfgfile], capsys)
+        assert code == EXIT_USAGE
+        assert "n_projections" in err and "--values" in err
+
+
+class TestCorruptEmbeddingText:
+    @pytest.mark.parametrize("field", ["tag", "id"])
+    def test_bad_utf8_byte_is_integrity_error(self, field, tmp_path, capsys):
+        path = str(tmp_path / "e.emb")
+        save_embeddings(EmbeddingSet(np.eye(3, dtype=np.float32),
+                                     ["la", "lb", "la"],
+                                     ["r0", "r1", "r2"]), path)
+        # magic, version/count/dim, tag count, then "la" and "lb" as
+        # (length, bytes); row 0 is (tag index, id length, "r0", vector)
+        tag_table = 8 + 12 + 4
+        offset = tag_table + 4 if field == "tag" else tag_table + 2 * (4 + 2) + 8
+        data = bytearray(open(path, "rb").read())
+        assert data[offset:offset + 1] == (b"l" if field == "tag" else b"r")
+        data[offset] = 0xFF
+        open(path, "wb").write(bytes(data))
+
+        with pytest.raises(IntegrityError) as info:
+            load_embeddings(path)
+        assert info.value.offset == offset
+        code, _, err = run_cli(["pcr", "--in", path, "--out",
+                                str(tmp_path / "d.emb")], capsys)
+        assert code == EXIT_DATA
+        assert "UTF-8" in err and f"offset {offset}" in err
