@@ -8,6 +8,15 @@ training step and is confined to a single thread.
 
 Training runs in float32; gradient checking casts to float64 because central
 finite differences are unusable at single precision.
+
+A scalar operand of a binary op (a Python number, a numpy scalar or a 0-d
+array) takes the dtype of the op's Tensor operand, so ``t * 0.5``,
+``0.5 - t`` and ``np.float64(2) * t`` keep a float32 ``t`` in float32.
+Array operands keep numpy's own promotion rules.
+
+The backward rules of ``add``, ``sub``, ``mul``, ``div`` and ``matmul``
+return ``None`` for an input that does not require gradients, so constant
+operands (masks, scales, biases) cost no gradient work.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(constant(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -232,11 +241,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _operand(value, other) -> Tensor:
+    """Wrap a non-Tensor operand; a scalar takes ``other``'s dtype."""
+    if isinstance(other, Tensor) and np.ndim(value) == 0:
+        return constant(value, dtype=other.data.dtype)
+    return constant(value)
+
+
 def _coerce(a, b) -> tuple[Tensor, Tensor]:
     if not isinstance(a, Tensor):
-        a = constant(a)
+        a = _operand(a, b)
     if not isinstance(b, Tensor):
-        b = constant(b)
+        b = _operand(b, a)
     return a, b
 
 
@@ -248,7 +264,8 @@ def add(a, b) -> Tensor:
     a, b = _coerce(a, b)
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return apply_op("add", a.data + b.data, (a, b), backward)
 
@@ -257,7 +274,8 @@ def sub(a, b) -> Tensor:
     a, b = _coerce(a, b)
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return apply_op("sub", a.data - b.data, (a, b), backward)
 
@@ -266,8 +284,8 @@ def mul(a, b) -> Tensor:
     a, b = _coerce(a, b)
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return apply_op("mul", a.data * b.data, (a, b), backward)
 
@@ -276,8 +294,10 @@ def div(a, b) -> Tensor:
     a, b = _coerce(a, b)
 
     def backward(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+              if b.requires_grad else None)
+        return ga, gb
 
     with np.errstate(all="ignore"):
         out_data = a.data / b.data
@@ -451,9 +471,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return ga, gb
 
     return apply_op("matmul", a.data @ b.data, (a, b), backward)
 
@@ -469,9 +492,18 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise DimensionError(f"gather_rows needs a 2-d table, got {table.data.shape}")
 
     def backward(g):
+        # Sum the rows of g that share an index: a stable sort groups them in
+        # input order, and reduceat adds each group in that fixed order.
         grad = np.zeros_like(table.data)
-        np.add.at(grad, idx.reshape(-1),
-                  g.reshape(-1, table.data.shape[1]))
+        flat = idx.reshape(-1)
+        if flat.size:
+            flat = flat % table.data.shape[0]  # negative indices alias rows
+            order = np.argsort(flat, kind="stable")
+            ordered = flat[order]
+            starts = np.flatnonzero(np.concatenate(
+                ([True], ordered[1:] != ordered[:-1])))
+            grad[ordered[starts]] = np.add.reduceat(
+                g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
         return (grad,)
 
     return apply_op("gather_rows", table.data[idx], (table,), backward)
@@ -484,7 +516,7 @@ def take_per_row(a: Tensor, col_indices) -> Tensor:
 
     def backward(g):
         grad = np.zeros_like(a.data)
-        np.add.at(grad, (rows, idx), g)
+        grad[rows, idx] = g  # one element per row, so no index repeats
         return (grad,)
 
     return apply_op("take_per_row", a.data[rows, idx], (a,), backward)

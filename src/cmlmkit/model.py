@@ -167,8 +167,7 @@ def encode(ids: np.ndarray, mask: np.ndarray, params: dict[str, Tensor],
     embeddings; attention is fully bidirectional over prefix+tokens.
     """
     ids = np.asarray(ids)
-    mask = np.asarray(mask, dtype=np.float64 if params["tok_emb"].dtype == np.float64
-                      else np.float32)
+    mask = np.asarray(mask, dtype=params["tok_emb"].dtype)
     if ids.ndim != 2 or mask.shape != ids.shape:
         raise DimensionError(
             f"ids and mask must be aligned 2-d arrays, got {ids.shape} and {mask.shape}")

@@ -460,11 +460,17 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
 
     ``init`` warm-starts from existing parameters (fresh optimizer and step
     counter); ``resume`` continues a checkpointed run exactly, including RNG
-    streams and the step counter. Deterministic given the seed in
-    single-threaded mode.
+    streams, the step counter and the metrics log, and refuses a checkpoint
+    whose strategy or optimizer schedule differs from the plan's.
+    Deterministic given the seed in single-threaded mode.
     """
     run = _Run(config, plan)
     total = plan.total_steps()
+    opt_state = OptimizerState(
+        kind=plan.optimizer, learning_rate=plan.learning_rate,
+        beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
+        weight_decay=plan.weight_decay, warmup_steps=plan.warmup_steps,
+        total_steps=total)
 
     if resume is not None:
         bundle = load_checkpoint(resume, expect_config=run.config) \
@@ -472,6 +478,7 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
         if isinstance(resume, CheckpointBundle) and bundle.config != run.config:
             raise ConfigMismatchError(
                 f"checkpoint config {bundle.config} does not match {run.config}")
+        _check_resume_schedule(bundle, plan.strategy, opt_state)
         run.params = bundle.params
         run.opt_state = bundle.opt_state
         run.step = bundle.step
@@ -494,11 +501,7 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
                           for name in reference}
         else:
             run.params = init_params(run.config, run.init_rng)
-        run.opt_state = OptimizerState(
-            kind=plan.optimizer, learning_rate=plan.learning_rate,
-            beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
-            weight_decay=plan.weight_decay, warmup_steps=plan.warmup_steps,
-            total_steps=total)
+        run.opt_state = opt_state
         run.step = 0
 
     out_dir = plan.out_dir
@@ -514,7 +517,12 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
                 run.params, run.opt_state,
                 {name: rng.bit_generator.state for name, rng in run.rngs.items()})
 
-    metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    metrics_fh = None
+    if metrics_path:
+        # a resumed run keeps the records logged before its checkpoint
+        kept = _records_before(metrics_path, run.step) if resume is not None else ""
+        metrics_fh = open(metrics_path, "w", encoding="utf-8")
+        metrics_fh.write(kept)
     history: list[dict] = []
     checkpoint()
     try:
@@ -549,6 +557,40 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
             metrics_fh.close()
     return run.params, history, _RunHandles(run.config, run.vocab,
                                             ckpt_path, metrics_path)
+
+
+def _check_resume_schedule(bundle: CheckpointBundle, strategy: str,
+                           planned: OptimizerState) -> None:
+    """Refuse a checkpoint written under a different schedule or optimizer;
+    the error names the first differing plan key."""
+    saved = bundle.opt_state
+    pairs = {"strategy": (bundle.strategy, strategy),
+             "optimizer": (saved.kind, planned.kind)}
+    for key in ("learning_rate", "beta1", "beta2", "eps", "weight_decay",
+                "warmup_steps", "total_steps"):
+        pairs[key] = (getattr(saved, key), getattr(planned, key))
+    for key, (found, expected) in pairs.items():
+        if found != expected:
+            raise ConfigMismatchError(
+                f"checkpoint {key} is {found!r} but the plan's is {expected!r}")
+
+
+def _records_before(path: str, step: int) -> str:
+    """The complete lines of a metrics log whose records precede ``step``."""
+    if not os.path.exists(path):
+        return ""
+    kept = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.endswith("\n"):
+                break
+            try:
+                if json.loads(line)["step"] >= step:
+                    break
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"unreadable metrics record in {path!r}: {exc}") from exc
+            kept.append(line)
+    return "".join(kept)
 
 
 @dataclass

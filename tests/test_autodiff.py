@@ -124,6 +124,49 @@ class TestBackward:
         with pytest.raises(NonFiniteError):
             ad.log(tensor64([-1.0]))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
+    def test_constant_operand_gets_no_gradient(self, op):
+        x = tensor64([[1.5, -2.0], [0.5, 3.0]], requires_grad=True)
+        c = tensor64([[2.0, 1.0], [-1.0, 4.0]])
+        for lhs, rhs, constant_slot in ((x, c, 1), (c, x, 0)):
+            with ad.GradientTape() as tape:
+                op(lhs, rhs)
+            grads = tape._entries[-1].backward(np.ones((2, 2)))
+            assert grads[constant_slot] is None
+            assert grads[1 - constant_slot].shape == (2, 2)
+
+
+class TestGatherBackward:
+    @staticmethod
+    def _grad(table, indices, g):
+        t = tensor64(table, requires_grad=True)
+        with ad.GradientTape() as tape:
+            ad.gather_rows(t, indices)
+        return tape._entries[-1].backward(g)[0]
+
+    def test_repeated_indices_sum_like_add_at(self):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((6, 4))
+        indices = np.array([[5, 0, 5], [2, 5, 0], [-1, 3, 3]])
+        g = rng.standard_normal((3, 3, 4))
+        want = np.zeros_like(table)
+        np.add.at(want, indices.reshape(-1), g.reshape(-1, 4))
+        np.testing.assert_allclose(self._grad(table, indices, g), want,
+                                   rtol=1e-15, atol=1e-15)
+
+    def test_empty_index_gives_zero_gradient(self):
+        grad = self._grad(np.ones((3, 2)), np.zeros(0, dtype=np.int64),
+                          np.zeros((0, 2)))
+        np.testing.assert_array_equal(grad, np.zeros((3, 2)))
+
+    def test_take_per_row_scatters_one_element_per_row(self):
+        a = tensor64(np.zeros((3, 4)), requires_grad=True)
+        with ad.GradientTape() as tape:
+            ad.take_per_row(a, np.array([2, 0, -1]))
+        grad = tape._entries[-1].backward(np.array([1.0, 2.0, 3.0]))[0]
+        np.testing.assert_array_equal(
+            grad, [[0, 0, 1, 0], [2, 0, 0, 0], [0, 0, 0, 3]])
+
 
 class TestCheckGradient:
     def test_quadratic_form(self):

@@ -216,6 +216,23 @@ class TestRunPlan:
         assert all("nli_acc" in h for h in hist[-4:])
 
 
+def crash_after(steps, plan, monkeypatch):
+    """Run ``plan`` and interrupt it inside optimizer step ``steps``."""
+    calls = {"n": 0}
+    real_step = training.optimizer_step
+
+    def dying_step(params, grads, state):
+        if calls["n"] == steps:
+            raise KeyboardInterrupt
+        calls["n"] += 1
+        return real_step(params, grads, state)
+
+    monkeypatch.setattr(training, "optimizer_step", dying_step)
+    with pytest.raises(KeyboardInterrupt):
+        run_plan(tiny_config(), plan)
+    monkeypatch.setattr(training, "optimizer_step", real_step)
+
+
 class TestResumeAndDivergence:
     def test_resume_equivalence_bitwise(self, data_dir, tmp_path, monkeypatch):
         # uninterrupted run
@@ -226,21 +243,9 @@ class TestResumeAndDivergence:
                                        "checkpoint.ckpt"), "rb").read()
 
         # crash after 8 steps, leaving the step-8 rolling checkpoint behind
-        calls = {"n": 0}
-        real_step = training.optimizer_step
-
-        def dying_step(params, grads, state):
-            if calls["n"] == 8:
-                raise KeyboardInterrupt
-            calls["n"] += 1
-            return real_step(params, grads, state)
-
         plan_crash = tiny_plan(data_dir, str(tmp_path / "crash"), stage1_steps=12,
                                checkpoint_every=4)
-        monkeypatch.setattr(training, "optimizer_step", dying_step)
-        with pytest.raises(KeyboardInterrupt):
-            run_plan(tiny_config(), plan_crash)
-        monkeypatch.setattr(training, "optimizer_step", real_step)
+        crash_after(8, plan_crash, monkeypatch)
 
         crash_ckpt = os.path.join(str(tmp_path / "crash"), "checkpoint.ckpt")
         assert load_checkpoint(crash_ckpt).step == 8
@@ -251,6 +256,47 @@ class TestResumeAndDivergence:
         run_plan(tiny_config(), plan_resume, resume=crash_ckpt)
         resumed_bytes = open(crash_ckpt, "rb").read()
         assert resumed_bytes == full_bytes
+        assert open(os.path.join(str(tmp_path / "crash"), "metrics.jsonl"),
+                    "rb").read() == \
+            open(os.path.join(str(tmp_path / "full"), "metrics.jsonl"),
+                 "rb").read()
+
+    def test_resume_drops_records_logged_after_the_checkpoint(
+            self, data_dir, tmp_path, monkeypatch):
+        full = str(tmp_path / "full")
+        run_plan(tiny_config(), tiny_plan(data_dir, full, checkpoint_every=4))
+
+        # crash during step 10: steps 0-9 are logged, the checkpoint is at 8
+        crash = str(tmp_path / "crash")
+        crash_after(10, tiny_plan(data_dir, crash, checkpoint_every=4), monkeypatch)
+        log = os.path.join(crash, "metrics.jsonl")
+        assert len(open(log).readlines()) == 10
+
+        ckpt = os.path.join(crash, "checkpoint.ckpt")
+        assert load_checkpoint(ckpt).step == 8
+        run_plan(tiny_config(), tiny_plan(data_dir, crash, checkpoint_every=4),
+                 resume=ckpt)
+        assert open(log, "rb").read() == \
+            open(os.path.join(full, "metrics.jsonl"), "rb").read()
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("total_steps", dict(stage1_steps=20)),
+        ("learning_rate", dict(learning_rate=2e-3)),
+        ("warmup_steps", dict(warmup_steps=2)),
+        ("optimizer", dict(optimizer="adam")),
+        ("strategy", dict(strategy="s3", stage1_steps=6, stage2_steps=4)),
+    ])
+    def test_resume_under_a_different_schedule_is_rejected(
+            self, data_dir, tmp_path, key, overrides):
+        out = str(tmp_path / "run")
+        run_plan(tiny_config(), tiny_plan(data_dir, out, stage1_steps=10))
+        ckpt = os.path.join(out, "checkpoint.ckpt")
+        with pytest.raises(ConfigMismatchError, match=key):
+            run_plan(tiny_config(), tiny_plan(data_dir, out, **overrides),
+                     resume=ckpt)
+        # the refused resume leaves the run's log and checkpoint untouched
+        assert load_checkpoint(ckpt).step == 10
+        assert len(open(os.path.join(out, "metrics.jsonl")).readlines()) == 10
 
     def test_divergence_keeps_last_checkpoint(self, data_dir, tmp_path, monkeypatch):
         calls = {"n": 0}
