@@ -3,7 +3,8 @@
 A ``Tensor`` wraps a numpy float array. Operations executed while a
 ``GradientTape`` is active append (inputs, output, backward rule) records in
 execution order, so replaying the tape in reverse yields exact reverse-mode
-gradients. Tensors are immutable after construction; a tape lives for one
+gradients. Ops never modify a tensor; between steps the optimizer updates
+parameters in place (``optim.optimizer_step``). A tape lives for one
 training step and is confined to a single thread.
 
 Training runs in float32; gradient checking casts to float64 because central
@@ -14,13 +15,22 @@ array) takes the dtype of the op's Tensor operand, so ``t * 0.5``,
 ``0.5 - t`` and ``np.float64(2) * t`` keep a float32 ``t`` in float32.
 Array operands keep numpy's own promotion rules.
 
-The backward rules of ``add``, ``sub``, ``mul``, ``div`` and ``matmul``
-return ``None`` for an input that does not require gradients, so constant
-operands (masks, scales, biases) cost no gradient work.
+Two fused ops stand in for chains of the elementwise and linear-algebra
+ops, to cut tape entries and temporaries: ``linear`` (``x @ w + b`` as one
+flat GEMM over the leading axes; ``matmul`` with a 2-d right operand
+delegates to it) and ``attention_core`` (multi-head scaled dot-product
+attention with a constant mask bias, saving only the probabilities for the
+backward).
+
+The backward rules of ``add``, ``sub``, ``mul``, ``div``, ``matmul``,
+``linear`` and ``attention_core`` return ``None`` for an input that does not
+require gradients, so constant operands (masks, scales, biases, frozen
+weights) cost no gradient work.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -462,6 +472,7 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product; a 2-d right operand goes through ``linear``."""
     a, b = _coerce(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
@@ -469,6 +480,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+    if b.data.ndim == 2:
+        return linear(a, b)
 
     def backward(g):
         ga = gb = None
@@ -479,6 +492,88 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return apply_op("matmul", a.data @ b.data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for a 2-d ``w`` as one flat GEMM over the leading axes.
+
+    The backward is two flat GEMMs and a column sum, so the weight gradient
+    needs no batched product and no reduction over a batch axis.
+    """
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionError(
+            f"linear needs [..., k] x [k, n], got {x.data.shape} x {w.data.shape}")
+    if b is not None and b.data.shape != (w.data.shape[1],):
+        raise DimensionError(
+            f"linear bias must have shape ({w.data.shape[1]},), got {b.data.shape}")
+    rows = math.prod(x.data.shape[:-1])  # not -1: a width may be 0
+    x2 = x.data.reshape(rows, w.data.shape[0])
+    out2 = x2 @ w.data
+    if b is not None:
+        out2 += b.data
+    out_shape = x.data.shape[:-1] + (w.data.shape[1],)
+
+    def backward(g):
+        g2 = g.reshape(rows, w.data.shape[1])
+        gx = ((g2 @ np.ascontiguousarray(w.data.T)).reshape(x.data.shape)
+              if x.requires_grad else None)
+        gw = x2.T @ g2 if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, (g2.sum(axis=0) if b.requires_grad else None)
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return apply_op("linear", out2.reshape(out_shape), inputs, backward)
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
+                   heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention on [B, T, d] tensors.
+
+    Splits ``heads`` heads, scores ``q kᵀ / sqrt(d / heads)`` plus the
+    constant ``mask_bias`` (broadcast to [B, heads, T, T]), takes the softmax
+    over keys, weights ``v`` and merges the heads back to [B, T, d], all in
+    one op. The backward keeps only the attention probabilities.
+    """
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise DimensionError(
+            f"attention_core needs equal [B, T, d] q, k and v, got "
+            f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
+    bsz, t, d = shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale = q.data.dtype.type(1.0 / np.sqrt(dh))
+
+    def split(m):  # [B, T, d] -> [B, h, T, dh]
+        return m.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(m):  # [B, h, T, dh] -> [B, T, d]
+        return m.transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs += mask_bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g)
+        gv = merge(probs.transpose(0, 1, 3, 2) @ gh) if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gs = gh @ vh.transpose(0, 1, 3, 2)  # d loss / d probs
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale  # now d loss / d (q kᵀ)
+        gq = merge(gs @ kh) if q.requires_grad else None
+        gk = merge(gs.transpose(0, 1, 3, 2) @ qh) if k.requires_grad else None
+        return gq, gk, gv
+
+    return apply_op("attention_core", merge(probs @ vh), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ class NLIBatch:
 
 def _mlm_logits(hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
     # tied output head: transpose of the token embedding matrix plus a bias
-    return ad.add(ad.matmul(hidden, ad.transpose(params["tok_emb"], (1, 0))),
-                  params["mlm_bias"])
+    return ad.linear(hidden, ad.transpose(params["tok_emb"], (1, 0)),
+                     params["mlm_bias"])
 
 
 def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
@@ -122,7 +122,7 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
         mean_view = ad.tmean(views, axis=1)  # [B, d]
         per_position = ad.gather_rows(mean_view, np.asarray(row_examples))
         widened = ad.concat([hidden, per_position], axis=1)  # [M, 2d]
-        hidden = ad.add(ad.matmul(widened, params["skip.w"]), params["skip.b"])
+        hidden = ad.linear(widened, params["skip.w"], params["skip.b"])
 
     logits = _mlm_logits(hidden, params)  # [M, V]
     log_probs = ad.log_softmax(logits)
@@ -186,7 +186,7 @@ def nli_loss(batch: NLIBatch,
     and hypothesis tensors come from it.
     """
     feats = nli_features(batch.premise, batch.hypothesis)
-    logits = ad.add(ad.matmul(feats, params["nli.w"]), params["nli.b"])
+    logits = ad.linear(feats, params["nli.w"], params["nli.b"])
     log_probs = ad.log_softmax(logits)
     picked = ad.take_per_row(log_probs, batch.labels)
     loss = ad.neg(ad.tmean(picked))

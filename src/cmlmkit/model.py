@@ -71,59 +71,60 @@ def _truncated_normal(rng: np.random.Generator, shape, stddev: float,
     return out.astype(dtype)
 
 
+def param_specs(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, initializer) of every learnable weight, in creation
+    order; the initializer is "normal", "zeros" or "ones"."""
+    d, ff, n = config.hidden, config.ff, config.n_projections
+    specs: dict[str, tuple[tuple[int, ...], str]] = {
+        "tok_emb": ((config.vocab_size, d), "normal"),
+        "pos_emb": ((config.max_len, d), "normal"),
+        "slot_emb": ((n, d), "normal"),
+        "mlm_bias": ((config.vocab_size,), "zeros"),
+        "nli.w": ((4 * d, 3), "normal"),
+        "nli.b": ((3,), "zeros"),
+        "skip.w": ((2 * d, d), "normal"),
+        "skip.b": ((d,), "zeros"),
+    }
+    for l in range(config.layers):
+        p = f"layer{l}"
+        specs[f"{p}.attn.wq"] = ((d, d), "normal")
+        specs[f"{p}.attn.bq"] = ((d,), "zeros")
+        # no key bias: softmax is invariant to a per-query uniform score
+        # shift, so a key bias is an exactly-zero-gradient parameter
+        specs[f"{p}.attn.wk"] = ((d, d), "normal")
+        specs[f"{p}.attn.wv"] = ((d, d), "normal")
+        specs[f"{p}.attn.bv"] = ((d,), "zeros")
+        specs[f"{p}.attn.wo"] = ((d, d), "normal")
+        specs[f"{p}.attn.bo"] = ((d,), "zeros")
+        specs[f"{p}.ln1.scale"] = ((d,), "ones")
+        specs[f"{p}.ln1.bias"] = ((d,), "zeros")
+        specs[f"{p}.ffn.w1"] = ((d, ff), "normal")
+        specs[f"{p}.ffn.b1"] = ((ff,), "zeros")
+        specs[f"{p}.ffn.w2"] = ((ff, d), "normal")
+        specs[f"{p}.ffn.b2"] = ((d,), "zeros")
+        specs[f"{p}.ln2.scale"] = ((d,), "ones")
+        specs[f"{p}.ln2.bias"] = ((d,), "zeros")
+    if n > 1:
+        specs["proj.w1"] = ((d, 2 * d), "normal")
+        specs["proj.b1"] = ((2 * d,), "zeros")
+        specs["proj.w2"] = ((2 * d, 2 * d), "normal")
+        specs["proj.b2"] = ((2 * d,), "zeros")
+        specs["proj.w3"] = ((2 * d, (n - 1) * d), "normal")
+        specs["proj.b3"] = (((n - 1) * d,), "zeros")
+    return specs
+
+
 def init_params(config: EncoderConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict[str, Tensor]:
     """All learnable weights; the MLM output projection is the transposed
     token embedding (no separate output matrix exists)."""
-    d, ff, n = config.hidden, config.ff, config.n_projections
-
-    def weight(shape):
-        return Tensor(_truncated_normal(rng, shape, INIT_STDDEV, dtype),
-                      requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "tok_emb": weight((config.vocab_size, d)),
-        "pos_emb": weight((config.max_len, d)),
-        "slot_emb": weight((n, d)),
-        "mlm_bias": zeros((config.vocab_size,)),
-        "nli.w": weight((4 * d, 3)),
-        "nli.b": zeros((3,)),
-        "skip.w": weight((2 * d, d)),
-        "skip.b": zeros((d,)),
+    fill = {
+        "normal": lambda shape: _truncated_normal(rng, shape, INIT_STDDEV, dtype),
+        "zeros": lambda shape: np.zeros(shape, dtype=dtype),
+        "ones": lambda shape: np.ones(shape, dtype=dtype),
     }
-    for l in range(config.layers):
-        p = f"layer{l}"
-        params[f"{p}.attn.wq"] = weight((d, d))
-        params[f"{p}.attn.bq"] = zeros((d,))
-        # no key bias: softmax is invariant to a per-query uniform score
-        # shift, so a key bias is an exactly-zero-gradient parameter
-        params[f"{p}.attn.wk"] = weight((d, d))
-        params[f"{p}.attn.wv"] = weight((d, d))
-        params[f"{p}.attn.bv"] = zeros((d,))
-        params[f"{p}.attn.wo"] = weight((d, d))
-        params[f"{p}.attn.bo"] = zeros((d,))
-        params[f"{p}.ln1.scale"] = ones((d,))
-        params[f"{p}.ln1.bias"] = zeros((d,))
-        params[f"{p}.ffn.w1"] = weight((d, ff))
-        params[f"{p}.ffn.b1"] = zeros((ff,))
-        params[f"{p}.ffn.w2"] = weight((ff, d))
-        params[f"{p}.ffn.b2"] = zeros((d,))
-        params[f"{p}.ln2.scale"] = ones((d,))
-        params[f"{p}.ln2.bias"] = zeros((d,))
-    if n > 1:
-        params["proj.w1"] = weight((d, 2 * d))
-        params["proj.b1"] = zeros((2 * d,))
-        params["proj.w2"] = weight((2 * d, 2 * d))
-        params["proj.b2"] = zeros((2 * d,))
-        params["proj.w3"] = weight((2 * d, (n - 1) * d))
-        params["proj.b3"] = zeros(((n - 1) * d,))
-    return params
+    return {name: Tensor(fill[init](shape), requires_grad=True)
+            for name, (shape, init) in param_specs(config).items()}
 
 
 def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -133,29 +134,14 @@ def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return ad.mul(x, ad.constant(keep / (1.0 - rate)))
 
 
-def _attention(x: Tensor, mask_bias: Tensor, params: dict[str, Tensor],
+def _attention(x: Tensor, mask_bias: np.ndarray, params: dict[str, Tensor],
                prefix_name: str, config: EncoderConfig) -> Tensor:
-    b, t, d = x.data.shape
-    heads = config.heads
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-
-    def split_heads(m):
-        return ad.transpose(ad.reshape(m, (b, t, heads, dh)), (0, 2, 1, 3))
-
-    q = split_heads(ad.add(ad.matmul(x, params[f"{prefix_name}.attn.wq"]),
-                           params[f"{prefix_name}.attn.bq"]))
-    k = split_heads(ad.matmul(x, params[f"{prefix_name}.attn.wk"]))
-    v = split_heads(ad.add(ad.matmul(x, params[f"{prefix_name}.attn.wv"]),
-                           params[f"{prefix_name}.attn.bv"]))
-
-    scores = ad.add(ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale),
-                    mask_bias)
-    probs = ad.softmax(scores)
-    ctx = ad.matmul(probs, v)  # [B, h, T, dh]
-    merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    return ad.add(ad.matmul(merged, params[f"{prefix_name}.attn.wo"]),
-                  params[f"{prefix_name}.attn.bo"])
+    p = f"{prefix_name}.attn"
+    q = ad.linear(x, params[f"{p}.wq"], params[f"{p}.bq"])
+    k = ad.linear(x, params[f"{p}.wk"])
+    v = ad.linear(x, params[f"{p}.wv"], params[f"{p}.bv"])
+    ctx = ad.attention_core(q, k, v, mask_bias, config.heads)
+    return ad.linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"])
 
 
 def encode(ids: np.ndarray, mask: np.ndarray, params: dict[str, Tensor],
@@ -192,16 +178,15 @@ def encode(ids: np.ndarray, mask: np.ndarray, params: dict[str, Tensor],
             [np.ones((b, n), dtype=mask.dtype), mask], axis=1)
 
     x = _dropout(x, config.dropout, dropout_rng)
-    bias = ad.constant((1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS)
+    bias = (1.0 - mask)[:, None, None, :] * ATTENTION_MASK_BIAS
     for l in range(config.layers):
         attn = _attention(x, bias, params, f"layer{l}", config)
         x = ad.layer_norm(ad.add(x, _dropout(attn, config.dropout, dropout_rng)),
                           params[f"layer{l}.ln1.scale"],
                           params[f"layer{l}.ln1.bias"])
-        h = ad.gelu(ad.add(ad.matmul(x, params[f"layer{l}.ffn.w1"]),
-                           params[f"layer{l}.ffn.b1"]))
-        ffn = ad.add(ad.matmul(h, params[f"layer{l}.ffn.w2"]),
-                     params[f"layer{l}.ffn.b2"])
+        h = ad.gelu(ad.linear(x, params[f"layer{l}.ffn.w1"],
+                              params[f"layer{l}.ffn.b1"]))
+        ffn = ad.linear(h, params[f"layer{l}.ffn.w2"], params[f"layer{l}.ffn.b2"])
         x = ad.layer_norm(ad.add(x, _dropout(ffn, config.dropout, dropout_rng)),
                           params[f"layer{l}.ln2.scale"],
                           params[f"layer{l}.ln2.bias"])
@@ -242,9 +227,9 @@ def project(v: Tensor, params: dict[str, Tensor],
     identity = ad.reshape(v, (b, 1, d))
     if n == 1:
         return identity
-    h = ad.relu(ad.add(ad.matmul(v, params["proj.w1"]), params["proj.b1"]))
-    h = ad.relu(ad.add(ad.matmul(h, params["proj.w2"]), params["proj.b2"]))
-    tail = ad.add(ad.matmul(h, params["proj.w3"]), params["proj.b3"])
+    h = ad.relu(ad.linear(v, params["proj.w1"], params["proj.b1"]))
+    h = ad.relu(ad.linear(h, params["proj.w2"], params["proj.b2"]))
+    tail = ad.linear(h, params["proj.w3"], params["proj.b3"])
     views = ad.reshape(tail, (b, n - 1, d))
     return ad.concat([identity, views], axis=1)
 

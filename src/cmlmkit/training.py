@@ -32,7 +32,7 @@ from .errors import (ConfigMismatchError, ContractError, DataError,
 from .losses import (BitextBatch, NLIBatch, bitext_loss, cmlm_loss,
                      combined_loss, in_batch_retrieval_accuracy, nli_loss)
 from .masking import default_num_mask, make_batch, make_pairs
-from .model import EncoderConfig, encode_and_pool, init_params
+from .model import EncoderConfig, encode_and_pool, init_params, param_specs
 from .optim import OptimizerState, optimizer_step
 from .synth import NLI_LABEL_NAMES
 from .text import Vocab, build_vocab, pad_token_lists, tokenize
@@ -294,11 +294,15 @@ def load_checkpoint(path: str,
         for _ in range(tensor_count):
             name, array = _read_tensor(fh)
             arrays[name] = array
+        if fh.read(1):
+            raise IntegrityError("checkpoint has bytes after its last tensor",
+                                 offset=fh.tell() - 1)
 
     config = EncoderConfig.from_dict(manifest["config"])
     if expect_config is not None and config != expect_config:
         raise ConfigMismatchError(
             f"checkpoint config {config} does not match expected {expect_config}")
+    _check_tensors_fit(arrays, config)
 
     params = {name[len("param."):]: Tensor(array, requires_grad=True)
               for name, array in arrays.items() if name.startswith("param.")}
@@ -319,6 +323,29 @@ def load_checkpoint(path: str,
         vocab=Vocab(manifest["vocab"]), params=params, opt_state=opt_state,
         rng_states=manifest["rngs"],
     )
+
+
+_TENSOR_PREFIXES = ("param.", "opt.m.", "opt.v.")
+
+
+def _check_tensors_fit(arrays: dict[str, np.ndarray],
+                       config: EncoderConfig) -> None:
+    """Every parameter of ``config`` is present with its shape, and every
+    other tensor is a moment of one of them with the same shape."""
+    shapes = {name: shape for name, (shape, _) in param_specs(config).items()}
+    for name in shapes:
+        if f"param.{name}" not in arrays:
+            raise IntegrityError(f"checkpoint lacks parameter {name!r}")
+    for key, array in arrays.items():
+        prefix = next((p for p in _TENSOR_PREFIXES if key.startswith(p)), "")
+        name = key[len(prefix):] if prefix else None
+        if name not in shapes:
+            raise IntegrityError(
+                f"checkpoint tensor {key!r} is not part of this config")
+        if array.shape != shapes[name]:
+            raise IntegrityError(
+                f"checkpoint tensor {key!r} has shape {array.shape}, the "
+                f"config needs {shapes[name]}")
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +513,16 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
             run.rngs[name].bit_generator.state = state
     else:
         if init is not None:
-            reference = init_params(run.config, np.random.default_rng(0))
+            reference = param_specs(run.config)
             missing = sorted(set(reference) - set(init))
             if missing:
                 raise ConfigMismatchError(
                     f"warm-start parameters missing {missing}")
-            for name in reference:
-                if init[name].data.shape != reference[name].data.shape:
+            for name, (shape, _) in reference.items():
+                if init[name].data.shape != shape:
                     raise ConfigMismatchError(
                         f"warm-start parameter {name!r} has shape "
-                        f"{init[name].data.shape}, expected "
-                        f"{reference[name].data.shape}")
+                        f"{init[name].data.shape}, expected {shape}")
             run.params = {name: Tensor(init[name].data.copy(), requires_grad=True)
                           for name in reference}
         else:

@@ -40,6 +40,13 @@ def op_cases(rng):
     table = _rand(rng, (6, 4))
     idx = rng.integers(0, 6, size=(3, 5))
     cols = rng.integers(0, r2[1], size=r2[0])
+    lin_x3 = _rand(rng, (2, m, k))
+    lin_b = _rand(rng, (n,))
+    # attention on [B=2, T=4, d=6] with 2 heads; the last key of the first
+    # example and the last two of the second are masked out
+    att_q, att_k, att_v = (_rand(rng, (2, 4, 6)) for _ in range(3))
+    att_mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
+    att_bias = (1.0 - att_mask)[:, None, None, :] * -1e9
 
     def w(fn):
         return lambda x: _weighted_scalar(fn(x))
@@ -62,6 +69,21 @@ def op_cases(rng):
     yield "gelu", w(ad.gelu), a
     yield "matmul_lhs", w(lambda x: ad.matmul(x, ad.constant(mat_b))), mat_a
     yield "matmul_rhs", w(lambda x: ad.matmul(ad.constant(mat_a), x)), mat_b
+    yield "linear_x", w(lambda x: ad.linear(
+        x, ad.constant(mat_b), ad.constant(lin_b))), mat_a
+    yield "linear_x_3d", w(lambda x: ad.linear(
+        x, ad.constant(mat_b), ad.constant(lin_b))), lin_x3
+    yield "linear_w", w(lambda x: ad.linear(
+        ad.constant(lin_x3), x, ad.constant(lin_b))), mat_b
+    yield "linear_b", w(lambda x: ad.linear(
+        ad.constant(lin_x3), ad.constant(mat_b), x)), lin_b
+    yield "linear_no_bias", w(lambda x: ad.linear(x, ad.constant(mat_b))), lin_x3
+    yield "attention_q", w(lambda x: ad.attention_core(
+        x, ad.constant(att_k), ad.constant(att_v), att_bias, 2)), att_q
+    yield "attention_k", w(lambda x: ad.attention_core(
+        ad.constant(att_q), x, ad.constant(att_v), att_bias, 2)), att_k
+    yield "attention_v", w(lambda x: ad.attention_core(
+        ad.constant(att_q), ad.constant(att_k), x, att_bias, 2)), att_v
     yield "reshape", w(lambda x: ad.reshape(x, (r2[0] * r2[1],))), a
     yield "transpose", w(lambda x: ad.transpose(x, (1, 0))), a
     yield "concat", w(lambda x: ad.concat([x, ad.constant(b)], axis=1)), a

@@ -9,6 +9,7 @@ from cmlmkit.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
 from cmlmkit.config import RunConfig
 from cmlmkit.errors import ContractError, IntegrityError
 from cmlmkit.evaluation import EmbeddingSet, load_embeddings, save_embeddings
+from cmlmkit.training import load_checkpoint, save_checkpoint
 
 
 def run_cli(argv, capsys):
@@ -177,6 +178,22 @@ class TestTrainEmbedEval:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert 0.0 <= payload["retrieval_accuracy"] <= 1.0
+
+    def test_checkpoint_missing_a_tensor_is_integrity_error(self, trained,
+                                                            tmp_path, capsys):
+        bundle = load_checkpoint(os.path.join(trained, "checkpoint.ckpt"))
+        del bundle.params["layer0.ffn.w2"]
+        ckpt = str(tmp_path / "lacking.ckpt")
+        save_checkpoint(ckpt, bundle.config, bundle.strategy, bundle.step,
+                        bundle.vocab, bundle.params, bundle.opt_state,
+                        bundle.rng_states)
+        corpus = tmp_path / "in.txt"
+        corpus.write_text("la\thello there\n")
+        code, _, err = run_cli(["embed", "--ckpt", ckpt, "--in", str(corpus),
+                                "--out", str(tmp_path / "x.emb")], capsys)
+        assert code == EXIT_DATA
+        assert "'layer0.ffn.w2'" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x.emb")
 
     def test_train_determinism_bytes(self, synth_dir, tmp_path, capsys):
         args = ["train", "--corpus", os.path.join(synth_dir, "corpus.txt"),

@@ -1,0 +1,305 @@
+"""The fused ops equal the compositions they replaced, and the flat-buffer
+optimizer equals a per-block loop."""
+
+import numpy as np
+import pytest
+
+from cmlmkit import autodiff as ad
+from cmlmkit.errors import ContractError, DimensionError, NonFiniteError
+from cmlmkit.optim import TRUST_RATIO_CLAMP, OptimizerState, optimizer_step
+
+F32 = dict(rtol=2e-5, atol=2e-6)  # a few float32 ulps on O(1) values
+
+
+def _grads(build, inputs, weights):
+    """Output and input gradients of ``sum(build(*inputs) * weights)``."""
+    leaves = [ad.Tensor(x, requires_grad=True) for x in inputs]
+    with ad.GradientTape() as tape:
+        out = build(*leaves)
+        loss = ad.tsum(ad.mul(out, ad.constant(weights)))
+    grads = tape.backward(loss)
+    return out.data, [grads[tape.node_of(t)] for t in leaves]
+
+
+def _f32(rng, shape):
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(7, 5), (3, 7, 5)])
+    def test_equals_batched_matmul_plus_add(self, x_shape):
+        rng = np.random.default_rng(0)
+        x, w, b = _f32(rng, x_shape), _f32(rng, (5, 4)), _f32(rng, (4,))
+        weights = _f32(rng, x_shape[:-1] + (4,))
+
+        def unfused(x, w, b):
+            # the batched rule, reached through a rank-3 right operand
+            x3 = x if x.data.ndim == 3 else ad.reshape(x, (1,) + x.data.shape)
+            out = ad.add(ad.matmul(x3, ad.reshape(w, (1, 5, 4))), b)
+            return ad.reshape(out, x.data.shape[:-1] + (4,))
+
+        got, got_g = _grads(ad.linear, (x, w, b), weights)
+        want, want_g = _grads(unfused, (x, w, b), weights)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, **F32)
+        for g, h in zip(got_g, want_g):
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, h, **F32)
+
+    def test_matmul_with_a_2d_right_operand_records_linear(self):
+        x = ad.Tensor(np.ones((2, 3, 4), np.float32), requires_grad=True)
+        w = ad.Tensor(np.ones((4, 5), np.float32), requires_grad=True)
+        with ad.GradientTape() as tape:
+            out = ad.matmul(x, w)
+        assert [e.name for e in tape._entries] == ["linear"]
+        np.testing.assert_array_equal(out.data, np.full((2, 3, 5), 4.0))
+
+    def test_constant_operands_get_no_gradient(self):
+        x = ad.Tensor(np.ones((3, 4)), requires_grad=True)
+        w, b = ad.constant(np.ones((4, 2))), ad.constant(np.ones(2))
+        with ad.GradientTape() as tape:
+            ad.linear(x, w, b)
+        gx, gw, gb = tape._entries[-1].backward(np.ones((3, 2)))
+        assert gx.shape == (3, 4) and gw is None and gb is None
+        with ad.GradientTape() as tape:
+            ad.linear(ad.constant(np.ones((3, 4))),
+                      ad.Tensor(w.data, requires_grad=True))
+        assert tape._entries[-1].backward(np.ones((3, 2)))[0] is None
+
+    @pytest.mark.parametrize("k,n", [(0, 4), (4, 0)])
+    def test_zero_width_operands(self, k, n):
+        x = ad.Tensor(np.ones((2, 3, k)), requires_grad=True)
+        w = ad.Tensor(np.ones((k, n)), requires_grad=True)
+        with ad.GradientTape() as tape:
+            out = ad.linear(x, w, ad.Tensor(np.ones(n), requires_grad=True))
+        np.testing.assert_array_equal(out.data, np.ones((2, 3, n)))
+        gx, gw, gb = tape._entries[-1].backward(np.ones((2, 3, n)))
+        assert gx.shape == (2, 3, k) and gw.shape == (k, n) and gb.shape == (n,)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.linear(ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((5, 2))))
+        with pytest.raises(DimensionError):
+            ad.linear(ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((4, 2))),
+                      ad.Tensor(np.ones(3)))
+
+
+def _attention_unfused(q, k, v, mask_bias, heads):
+    """The composition ``model._attention`` used before the fused op."""
+    b, t, d = q.data.shape
+    dh = d // heads
+
+    def split(m):
+        return ad.transpose(ad.reshape(m, (b, t, heads, dh)), (0, 2, 1, 3))
+
+    scores = ad.add(ad.mul(ad.matmul(split(q), ad.transpose(split(k), (0, 1, 3, 2))),
+                           1.0 / np.sqrt(dh)), ad.constant(mask_bias))
+    ctx = ad.matmul(ad.softmax(scores), split(v))
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+
+
+class TestAttentionCore:
+    def _inputs(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (_f32(rng, (3, 5, 8)) for _ in range(3))
+        mask = np.ones((3, 5), np.float32)
+        mask[0, 3:] = 0
+        mask[2, 1:] = 0
+        bias = (1.0 - mask)[:, None, None, :] * np.float32(-1e9)
+        return (q, k, v), bias, _f32(rng, (3, 5, 8))
+
+    def test_equals_unfused_composition(self):
+        inputs, bias, weights = self._inputs()
+        got, got_g = _grads(lambda q, k, v: ad.attention_core(q, k, v, bias, 2),
+                            inputs, weights)
+        want, want_g = _grads(lambda q, k, v: _attention_unfused(q, k, v, bias, 2),
+                              inputs, weights)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, **F32)
+        for g, h in zip(got_g, want_g):
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, h, **F32)
+
+    def test_masked_keys_get_no_weight_and_no_gradient(self):
+        (q, k, v), bias, weights = self._inputs()
+        moved = v.copy()
+        moved[0, 3:] += 100.0  # masked keys of the first example
+        a = ad.attention_core(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), bias, 2)
+        b = ad.attention_core(ad.Tensor(q), ad.Tensor(k), ad.Tensor(moved), bias, 2)
+        np.testing.assert_array_equal(a.data, b.data)
+        _, (_, gk, gv) = _grads(lambda q, k, v: ad.attention_core(q, k, v, bias, 2),
+                                (q, k, v), weights)
+        assert not gk[0, 3:].any() and not gv[0, 3:].any()
+
+    def test_one_tape_entry_and_constant_inputs_get_none(self):
+        (q, k, v), bias, _ = self._inputs()
+        tq = ad.Tensor(q, requires_grad=True)
+        with ad.GradientTape() as tape:
+            ad.attention_core(tq, ad.constant(k), ad.constant(v), bias, 2)
+        assert [e.name for e in tape._entries] == ["attention_core"]
+        gq, gk, gv = tape._entries[-1].backward(np.ones_like(q))
+        assert gq.shape == q.shape and gk is None and gv is None
+
+    def test_bad_shapes_rejected(self):
+        t = ad.Tensor(np.ones((2, 3, 6)))
+        with pytest.raises(DimensionError):
+            ad.attention_core(t, t, ad.Tensor(np.ones((2, 3, 4))), 0.0, 2)
+        with pytest.raises(DimensionError):
+            ad.attention_core(t, t, t, 0.0, 4)
+
+
+def _reference_step(params, grads, state):
+    """The per-block update loop the flat optimizer replaced."""
+    lr = state.effective_lr()
+    t = state.step + 1
+    bc1, bc2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if state.weight_decay:
+            update = update + state.weight_decay * p
+        if state.kind == "lamb":
+            w_norm = float(np.linalg.norm(p))
+            u_norm = float(np.linalg.norm(update))
+            ratio = (1.0 if w_norm == 0.0 or u_norm == 0.0
+                     else min(w_norm / u_norm, TRUST_RATIO_CLAMP))
+            update = ratio * update
+        params[name] = p - lr * update
+    state.step += 1
+
+
+class TestFlatOptimizer:
+    def _blocks(self, dtype):
+        rng = np.random.default_rng(2)
+        return {
+            "big": (rng.standard_normal((6, 5)) * 3.0).astype(dtype),
+            "zero": np.zeros(4, dtype=dtype),  # ||w|| = 0: ratio 1
+            "clamped": np.full((2, 3), 50.0, dtype=dtype),  # ratio > 10
+            "scalar": np.array([0.7], dtype=dtype),
+            "small": (rng.standard_normal((3, 2)) * 1e-3).astype(dtype),
+            "empty": np.zeros((0, 3), dtype=dtype),  # starts at the buffer's end
+        }
+
+    @pytest.mark.parametrize("kind", ["lamb", "adam"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 2e-6)])
+    def test_equals_per_block_reference(self, kind, dtype, tol):
+        blocks = self._blocks(dtype)
+        params = {n: ad.Tensor(a.copy(), requires_grad=True) for n, a in blocks.items()}
+        ref = {n: a.copy() for n, a in blocks.items()}
+        settings = dict(kind=kind, learning_rate=0.05, weight_decay=0.01,
+                        warmup_steps=2, total_steps=20)
+        state, ref_state = OptimizerState(**settings), OptimizerState(**settings)
+        identities = {n: id(p) for n, p in params.items()}
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            grads = {n: rng.standard_normal(a.shape).astype(dtype)
+                     for n, a in blocks.items()}
+            grads["clamped"] *= 1e-4  # tiny update against a large weight
+            optimizer_step(params, grads, state)
+            _reference_step(ref, grads, ref_state)
+            for n in blocks:
+                assert params[n].data.dtype == dtype
+                np.testing.assert_allclose(params[n].data, ref[n], rtol=tol, atol=tol)
+                for mine, ref_moments in ((state.m, ref_state.m),
+                                          (state.v, ref_state.v)):
+                    np.testing.assert_allclose(mine[n], ref_moments[n],
+                                               rtol=tol, atol=tol)
+        assert {n: id(p) for n, p in params.items()} == identities
+        assert state.step == ref_state.step == 6
+
+    def test_clamp_and_zero_norm_cases_are_exercised(self):
+        # one LAMB step from zero moments: the direction is sign(g) (before
+        # decay), so each block's ratio is ||w|| / sqrt(size)
+        blocks = self._blocks(np.float64)
+        params = {n: ad.Tensor(a.copy(), requires_grad=True) for n, a in blocks.items()}
+        grads = {n: np.ones_like(a) for n, a in blocks.items()}
+        optimizer_step(params, grads, OptimizerState(kind="lamb", learning_rate=0.1))
+        moved = {n: blocks[n] - params[n].data for n in blocks}
+        np.testing.assert_allclose(moved["zero"], 0.1, rtol=1e-6)  # ratio 1
+        np.testing.assert_allclose(moved["clamped"], 0.1 * TRUST_RATIO_CLAMP,
+                                   rtol=1e-6)
+
+    def test_moments_are_named_views_of_one_buffer(self):
+        blocks = self._blocks(np.float32)
+        params = {n: ad.Tensor(a.copy(), requires_grad=True) for n, a in blocks.items()}
+        state = OptimizerState()
+        grads = {n: np.ones_like(a) for n, a in blocks.items()}
+        optimizer_step(params, grads, state)
+        assert list(state.m) == list(blocks) == list(state.v)
+        base = state.m["big"].base
+        assert all(state.m[n].base is base for n in blocks)
+        assert all(state.m[n].shape == blocks[n].shape for n in blocks)
+        assert all(params[n].data.base is params["big"].data.base for n in blocks)
+        state.reset_moments()
+        assert not state.m and not state.v
+        optimizer_step(params, grads, state)
+        np.testing.assert_allclose(state.m["big"], 0.1, rtol=1e-6)
+
+    def test_per_name_moments_are_adopted(self):
+        # a state rebuilt from a checkpoint holds separate per-name arrays
+        blocks = self._blocks(np.float64)
+        grads = {n: np.full_like(a, 0.5) for n, a in blocks.items()}
+        runs = []
+        for reload in (False, True):
+            params = {n: ad.Tensor(a.copy(), requires_grad=True)
+                      for n, a in blocks.items()}
+            state = OptimizerState(kind="lamb", learning_rate=0.01)
+            optimizer_step(params, grads, state)
+            if reload:
+                state = OptimizerState(kind="lamb", learning_rate=0.01, step=1,
+                                       m={n: a.copy() for n, a in state.m.items()},
+                                       v={n: a.copy() for n, a in state.v.items()})
+            optimizer_step(params, grads, state)
+            runs.append({n: p.data.copy() for n, p in params.items()})
+        for n in blocks:
+            np.testing.assert_array_equal(runs[0][n], runs[1][n])
+
+    def test_parameter_data_replaced_between_steps_is_used(self):
+        blocks = self._blocks(np.float64)
+        params = {n: ad.Tensor(a.copy(), requires_grad=True) for n, a in blocks.items()}
+        ref = {n: a.copy() for n, a in blocks.items()}
+        state, ref_state = OptimizerState(), OptimizerState()
+        grads = {n: np.full_like(a, 0.5) for n, a in blocks.items()}
+        for step in range(3):
+            if step == 1:  # e.g. a caller restoring one block from elsewhere
+                params["big"].data = np.full((6, 5), 2.0)
+                ref["big"] = np.full((6, 5), 2.0)
+            optimizer_step(params, grads, state)
+            _reference_step(ref, grads, ref_state)
+        for n in blocks:
+            np.testing.assert_allclose(params[n].data, ref[n], rtol=1e-12)
+
+    def test_moment_of_the_wrong_shape_rejected(self):
+        params = {"w": ad.Tensor(np.ones(3), requires_grad=True)}
+        state = OptimizerState(m={"w": np.ones(2)})
+        with pytest.raises(ContractError, match="'w'"):
+            optimizer_step(params, {"w": np.ones(3)}, state)
+
+    def test_non_finite_gradient_leaves_moments_and_params(self):
+        blocks = self._blocks(np.float32)
+        params = {n: ad.Tensor(a.copy(), requires_grad=True) for n, a in blocks.items()}
+        state = OptimizerState()
+        grads = {n: np.ones_like(a) for n, a in blocks.items()}
+        optimizer_step(params, grads, state)
+        before = ({n: p.data.copy() for n, p in params.items()},
+                  {n: a.copy() for n, a in state.m.items()})
+        grads["small"][1, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="'small'"):
+            optimizer_step(params, grads, state)
+        for n in blocks:
+            np.testing.assert_array_equal(params[n].data, before[0][n])
+            np.testing.assert_array_equal(state.m[n], before[1][n])
+        assert state.step == 1
+
+    def test_mixed_dtypes_rejected(self):
+        params = {"a": ad.Tensor(np.ones(2, np.float32), requires_grad=True),
+                  "b": ad.Tensor(np.ones(2, np.float64), requires_grad=True)}
+        with pytest.raises(ContractError, match="one dtype"):
+            optimizer_step(params, {"a": np.ones(2, np.float32), "b": np.ones(2)},
+                           OptimizerState())

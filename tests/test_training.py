@@ -7,7 +7,7 @@ from cmlmkit import training
 from cmlmkit.errors import (ConfigMismatchError, ContractError, DataError,
                             IntegrityError, NonFiniteError, TrainingDiverged)
 from cmlmkit.model import EncoderConfig, init_params
-from cmlmkit.optim import OptimizerState
+from cmlmkit.optim import OptimizerState, optimizer_step
 from cmlmkit.synth import SynthSpec, generate
 from cmlmkit.text import build_vocab
 from cmlmkit.training import (TrainPlan, load_checkpoint, load_corpus,
@@ -125,6 +125,61 @@ class TestCheckpointIO:
         bad.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(IntegrityError, match="offset"):
             load_checkpoint(str(bad))
+
+
+    @pytest.mark.parametrize("damage,named", [
+        ("missing", "'layer0.ffn.w2'"),
+        ("extra", "'param.stray'"),
+        ("misshaped", "'param.layer0.ffn.w2'"),
+        ("misshaped_moment", "'opt.m.tok_emb'"),
+        ("orphan_moment", "'opt.v.stray'"),
+    ])
+    def test_tensor_that_does_not_fit_the_config_rejected(self, tmp_path,
+                                                          damage, named):
+        vocab = build_vocab(["aa bb cc dd"], target_size=24)
+        config = tiny_config(vocab.size)
+        params = init_params(config, np.random.default_rng(0))
+        state = OptimizerState(kind="lamb", total_steps=10)
+        if damage == "missing":
+            del params["layer0.ffn.w2"]
+        elif damage == "extra":
+            params["stray"] = params["tok_emb"]
+        elif damage == "misshaped":
+            params["layer0.ffn.w2"] = params["layer0.ffn.w1"]
+        elif damage == "misshaped_moment":
+            state.m = {"tok_emb": np.ones(3, dtype=np.float32)}
+        else:
+            state.v = {"stray": np.ones(3, dtype=np.float32)}
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(path, config, "cmlm_only", 0, vocab, params, state, {})
+        with pytest.raises(IntegrityError, match=named):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, *_ = self._roundtrip_setup(tmp_path)
+        size = os.path.getsize(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(IntegrityError, match="after its last tensor") as info:
+            load_checkpoint(path)
+        assert info.value.offset == size
+
+    def test_moments_saved_after_a_step_reload_per_name(self, tmp_path):
+        vocab = build_vocab(["aa bb cc dd"], target_size=24)
+        config = tiny_config(vocab.size)
+        params = init_params(config, np.random.default_rng(0))
+        state = OptimizerState(kind="lamb", total_steps=10)
+        optimizer_step(params, {n: np.ones_like(p.data) for n, p in params.items()},
+                       state)
+        path = str(tmp_path / "step.ckpt")
+        save_checkpoint(path, config, "cmlm_only", 1, vocab, params, state, {})
+        bundle = load_checkpoint(path)
+        assert set(bundle.opt_state.m) == set(bundle.opt_state.v) == set(params)
+        for name in params:
+            np.testing.assert_array_equal(bundle.opt_state.m[name], state.m[name])
+            np.testing.assert_array_equal(bundle.opt_state.v[name], state.v[name])
+            np.testing.assert_array_equal(bundle.params[name].data,
+                                          params[name].data)
 
 
 class TestRunPlan:
