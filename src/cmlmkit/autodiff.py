@@ -15,12 +15,12 @@ array) takes the dtype of the op's Tensor operand, so ``t * 0.5``,
 ``0.5 - t`` and ``np.float64(2) * t`` keep a float32 ``t`` in float32.
 Array operands keep numpy's own promotion rules.
 
-Two fused ops stand in for chains of the elementwise and linear-algebra
+Three fused ops stand in for chains of the elementwise and linear-algebra
 ops, to cut tape entries and temporaries: ``linear`` (``x @ w + b`` as one
 flat GEMM over the leading axes; ``matmul`` with a 2-d right operand
-delegates to it) and ``attention_core`` (multi-head scaled dot-product
+delegates to it), ``attention_core`` (multi-head scaled dot-product
 attention with a constant mask bias, saving only the probabilities for the
-backward).
+backward) and ``dropout`` (saving a bool mask).
 
 The backward rules of ``add``, ``sub``, ``mul``, ``div``, ``matmul``,
 ``linear`` and ``attention_core`` return ``None`` for an input that does not
@@ -378,18 +378,57 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation, as in the original BERT codebase
+    # tanh approximation, as in the original BERT codebase; saves only x and
+    # t = tanh(inner), and works in place on the arrays it allocates
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= _GELU_C * _GELU_A
+    t += _GELU_C
+    t *= x  # inner = C * (x + A x^3)
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        dt = (1.0 - t * t) * d_inner
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+        # d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) d_inner
+        #             = 0.5 (1 + t) (1 + x (1 - t) d_inner)
+        gx = x * x
+        gx *= 3.0 * _GELU_C * _GELU_A
+        gx += _GELU_C  # d_inner = C * (1 + 3 A x^2)
+        gx *= x
+        s = 1.0 - t
+        gx *= s
+        gx += 1.0
+        np.add(t, 1.0, out=s)
+        gx *= s
+        gx *= 0.5
+        gx *= g
+        return (gx,)
 
     return apply_op("gelu", out_data, (a,), backward)
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: zero each element with probability ``rate`` and
+    scale the survivors by ``1 / (1 - rate)``; the backward keeps a bool mask.
+
+    The mask comes from one ``rng.random(x.shape)`` draw (kept where the
+    draw is ``>= rate``), and the scale is taken in ``x``'s dtype.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = rng.random(x.data.shape) >= rate
+    scale = x.data.dtype.type(1.0) / (1.0 - rate)
+    out_data = x.data * scale
+    out_data *= keep
+
+    def backward(g):
+        gx = g * scale
+        gx *= keep
+        return (gx,)
+
+    return apply_op("dropout", out_data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +570,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
     """Multi-head scaled dot-product attention on [B, T, d] tensors.
 
     Splits ``heads`` heads, scores ``q kᵀ / sqrt(d / heads)`` plus the
-    constant ``mask_bias`` (broadcast to [B, heads, T, T]), takes the softmax
-    over keys, weights ``v`` and merges the heads back to [B, T, d], all in
-    one op. The backward keeps only the attention probabilities.
+    constant ``mask_bias`` (broadcast to [B, heads, T, T], query by key),
+    takes the softmax over keys, weights ``v`` and merges the heads back to
+    [B, T, d], all in one op. The scores are held key-major, [B, heads, key,
+    query], so the softmax reduces over axis -2, which numpy vectorizes
+    along the contiguous query axis. The scale is folded into ``q`` before
+    the product, and the backward keeps only the probabilities.
     """
     shape = q.data.shape
     if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
@@ -552,28 +594,30 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
     def merge(m):  # [B, h, T, dh] -> [B, T, d]
         return m.transpose(0, 2, 1, 3).reshape(shape)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.transpose(0, 1, 3, 2)
-    probs *= scale
-    probs += mask_bias
-    probs -= probs.max(axis=-1, keepdims=True)
+    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    probs = kh @ qh.transpose(0, 1, 3, 2)  # [B, h, key, query]
+    probs += np.broadcast_to(mask_bias, (bsz, heads, t, t)).transpose(0, 1, 3, 2)
+    probs -= probs.max(axis=-2, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= probs.sum(axis=-2, keepdims=True)
 
     def backward(g):
         gh = split(g)
-        gv = merge(probs.transpose(0, 1, 3, 2) @ gh) if v.requires_grad else None
+        gv = merge(probs @ gh) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gs = gh @ vh.transpose(0, 1, 3, 2)  # d loss / d probs
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
-        gs *= probs
-        gs *= scale  # now d loss / d (q kᵀ)
-        gq = merge(gs @ kh) if q.requires_grad else None
-        gk = merge(gs.transpose(0, 1, 3, 2) @ qh) if k.requires_grad else None
+        gs = vh @ gh.transpose(0, 1, 3, 2)  # d loss / d probs, key-major
+        gs -= np.einsum("bhkq,bhkq->bhq", gs, probs)[:, :, None, :]
+        gs *= probs  # now d loss / d (k (q scale)ᵀ)
+        gq = None
+        if q.requires_grad:
+            gq = merge(gs.transpose(0, 1, 3, 2) @ kh)
+            gq *= scale
+        gk = merge(gs @ qh) if k.requires_grad else None
         return gq, gk, gv
 
-    return apply_op("attention_core", merge(probs @ vh), (q, k, v), backward)
+    return apply_op("attention_core",
+                    merge(probs.transpose(0, 1, 3, 2) @ vh), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -658,24 +702,43 @@ LAYER_NORM_EPS = 1e-12
 
 def layer_norm(a: Tensor, scale: Tensor, bias: Tensor,
                eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The rows are flattened to [rows, d], and every row mean (the mean and
+    the variance forward, two more backward) is one BLAS product with a
+    constant 1/d vector.
+    """
     if a.data.ndim < 1 or a.data.shape[-1] == 0:
         raise DimensionError(
             f"layer_norm needs a non-empty last axis, got {a.data.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * scale.data + bias.data
+    shape = a.data.shape
+    d = shape[-1]
+    x = a.data.reshape(-1, d)
+    row_mean = np.full(d, 1.0 / d, dtype=x.dtype)
+    x_hat2 = x - (x @ row_mean)[:, None]
+    sq = x_hat2 * x_hat2
+    inv_std = sq @ row_mean
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    inv_std = inv_std[:, None]
+    x_hat2 *= inv_std
+    x_hat = x_hat2.reshape(shape)
+    out_data = np.multiply(x_hat, scale.data, out=sq.reshape(shape))
+    out_data += bias.data
 
     def backward(g):
         d_bias = _unbroadcast(g, bias.data.shape)
         d_scale = _unbroadcast(g * x_hat, scale.data.shape)
-        gs = g * scale.data
-        mean_gs = gs.mean(axis=-1, keepdims=True)
-        mean_gs_xhat = (gs * x_hat).mean(axis=-1, keepdims=True)
-        d_x = inv_std * (gs - mean_gs - x_hat * mean_gs_xhat)
+        d_x = g * scale.data
+        d_x2 = d_x.reshape(-1, d)
+        tmp2 = d_x2 * x_hat2
+        mean_gs_xhat = (tmp2 @ row_mean)[:, None]
+        mean_gs = (d_x2 @ row_mean)[:, None]
+        np.multiply(x_hat2, mean_gs_xhat, out=tmp2)
+        d_x2 -= tmp2
+        d_x2 -= mean_gs
+        d_x2 *= inv_std
         return d_x, d_scale, d_bias
 
     return apply_op("layer_norm", out_data, (a, scale, bias), backward)

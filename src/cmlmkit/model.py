@@ -41,11 +41,14 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("layers", "heads", "hidden", "ff", "max_len", "n_projections"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.hidden % self.heads != 0:
             raise ContractError(
                 f"hidden size {self.hidden} must be divisible by heads {self.heads}")
-        if self.n_projections < 1:
-            raise ContractError("n_projections must be >= 1")
         if self.pooling not in POOLING_KINDS:
             raise ContractError(
                 f"pooling must be one of {POOLING_KINDS}, got {self.pooling!r}")
@@ -54,10 +57,6 @@ class EncoderConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 def _truncated_normal(rng: np.random.Generator, shape, stddev: float,
@@ -130,8 +129,7 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
 def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    return ad.mul(x, ad.constant(keep / (1.0 - rate)))
+    return ad.dropout(x, rate, rng)
 
 
 def _attention(x: Tensor, mask_bias: np.ndarray, params: dict[str, Tensor],

@@ -1,14 +1,10 @@
-"""Top singular directions by power iteration on the Gram matrix."""
+"""Top singular directions from an exact eigendecomposition of the Gram matrix."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-
-CONVERGENCE_TOL = 1e-10
-MAX_ITERATIONS = 1000
-_START_SEED = 0x5EED
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -17,53 +13,35 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if lead < 0 else v
 
 
-def first_principal_direction(m) -> np.ndarray:
-    """Unit top right-singular vector of a matrix of row vectors.
-
-    Power iteration on ``m^T m``; the Gram matrix is invariant under row
-    permutation, and the fixed-seed start vector makes the result
-    deterministic. Converges when successive iterates differ by less than
-    1e-10, or stops after 1000 iterations.
-    """
+def _top_eigenvectors(m, count: int) -> np.ndarray:
+    """Unit eigenvectors, as columns, of the ``count`` largest eigenvalues
+    of ``m^T m`` (largest first), from ``np.linalg.eigh`` of the d×d Gram
+    matrix; the Gram matrix is invariant under row permutation."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     if not np.any(m):
         raise DegenerateInputError("cannot extract a principal direction from an all-zero matrix")
+    _, vectors = np.linalg.eigh(m.T @ m)  # eigenvalues ascending
+    return vectors[:, ::-1][:, :count]
 
-    gram = m.T @ m
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(MAX_ITERATIONS):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # start vector landed in the nullspace; redraw deterministically
-            v = rng.standard_normal(m.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        w /= norm
-        if np.dot(w, v) < 0:
-            w = -w
-        if np.linalg.norm(w - v) < CONVERGENCE_TOL:
-            v = w
-            break
-        v = w
-    return _fix_sign(v)
+
+def first_principal_direction(m) -> np.ndarray:
+    """Unit top right-singular vector of a matrix of row vectors."""
+    return _fix_sign(_top_eigenvectors(m, 1)[:, 0])
 
 
 def top_two_directions(m) -> tuple[np.ndarray, np.ndarray]:
-    """First two right-singular directions via deflation.
+    """First two right-singular directions.
 
-    Raises ``DegenerateInputError`` when the matrix has rank < 2 (the
-    residual after removing the first direction is numerically zero).
+    Raises ``DegenerateInputError`` when the matrix has rank < 2 (its second
+    singular value is numerically zero next to its norm).
     """
     m = np.asarray(m, dtype=np.float64)
-    c1 = first_principal_direction(m)
-    residual = m - np.outer(m @ c1, c1)
+    vectors = _top_eigenvectors(m, 2)
+    # ||m v2|| is the second singular value to within rounding of ||m||;
+    # sqrt of the second eigenvalue would only be good to sqrt(eps) ||m||
     scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(residual) <= 1e-9 * scale:
+    if vectors.shape[1] < 2 or np.linalg.norm(m @ vectors[:, 1]) <= 1e-9 * scale:
         raise DegenerateInputError("matrix has rank < 2; no second direction exists")
-    c2 = first_principal_direction(residual)
-    return c1, c2
+    return _fix_sign(vectors[:, 0]), _fix_sign(vectors[:, 1])

@@ -22,6 +22,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -298,7 +299,7 @@ def load_checkpoint(path: str,
             raise IntegrityError("checkpoint has bytes after its last tensor",
                                  offset=fh.tell() - 1)
 
-    config = EncoderConfig.from_dict(manifest["config"])
+    config, settings = _parse_manifest(manifest)
     if expect_config is not None and config != expect_config:
         raise ConfigMismatchError(
             f"checkpoint config {config} does not match expected {expect_config}")
@@ -306,13 +307,8 @@ def load_checkpoint(path: str,
 
     params = {name[len("param."):]: Tensor(array, requires_grad=True)
               for name, array in arrays.items() if name.startswith("param.")}
-    opt_info = manifest["optimizer"]
-    opt_state = OptimizerState(
-        kind=opt_info["kind"], learning_rate=opt_info["learning_rate"],
-        beta1=opt_info["beta1"], beta2=opt_info["beta2"], eps=opt_info["eps"],
-        weight_decay=opt_info["weight_decay"],
-        warmup_steps=opt_info["warmup_steps"],
-        total_steps=opt_info["total_steps"], step=opt_info["step"],
+    opt_state = replace(
+        settings,
         m={name[len("opt.m."):]: arr for name, arr in arrays.items()
            if name.startswith("opt.m.")},
         v={name[len("opt.v."):]: arr for name, arr in arrays.items()
@@ -323,6 +319,68 @@ def load_checkpoint(path: str,
         vocab=Vocab(manifest["vocab"]), params=params, opt_state=opt_state,
         rng_states=manifest["rngs"],
     )
+
+
+_MANIFEST_TYPES = {"config": dict, "step": int, "strategy": str, "vocab": list,
+                   "optimizer": dict, "rngs": dict}
+_OPTIMIZER_TYPES = {"kind": str, "learning_rate": float, "beta1": float,
+                    "beta2": float, "eps": float, "weight_decay": float,
+                    "warmup_steps": int, "total_steps": int, "step": int}
+
+
+def _check_section(section: dict, types: dict[str, type], where: str) -> None:
+    """``section`` has exactly the keys of ``types``, each of its type (an
+    int passes for a float); ``IntegrityError`` names the first bad key."""
+    for key in section:
+        if key not in types:
+            raise IntegrityError(f"checkpoint manifest has unknown key '{where}{key}'")
+    for key, kind in types.items():
+        if key not in section:
+            raise IntegrityError(f"checkpoint manifest lacks '{where}{key}'")
+        value = section[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise IntegrityError(f"checkpoint manifest key '{where}{key}' must "
+                                 f"be of type {kind.__name__}, got {value!r}")
+
+
+def _parse_manifest(manifest) -> tuple[EncoderConfig, OptimizerState]:
+    """Check every key of a checkpoint manifest; return its config and its
+    optimizer settings (without moments). Anything missing, unknown,
+    ill-typed or rejected by ``EncoderConfig`` or ``OptimizerState`` is an
+    ``IntegrityError`` naming the key."""
+    if not isinstance(manifest, dict):
+        raise IntegrityError("checkpoint manifest is not a JSON object")
+    _check_section(manifest, _MANIFEST_TYPES, "")
+    _check_section(manifest["config"], get_type_hints(EncoderConfig), "config.")
+    _check_section(manifest["optimizer"], _OPTIMIZER_TYPES, "optimizer.")
+    if manifest["strategy"] not in STRATEGIES:
+        raise IntegrityError(f"checkpoint manifest key 'strategy' must be one "
+                             f"of {STRATEGIES}, got {manifest['strategy']!r}")
+    if not all(isinstance(token, str) for token in manifest["vocab"]):
+        raise IntegrityError("checkpoint manifest key 'vocab' must list strings")
+    for name, state in manifest["rngs"].items():  # a stream left out keeps its seed
+        if name not in _RNG_STREAMS:
+            raise IntegrityError(f"checkpoint manifest has unknown key 'rngs.{name}'")
+        try:
+            np.random.PCG64(0).state = state
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise IntegrityError(
+                f"checkpoint manifest key 'rngs.{name}' is not a PCG64 state: "
+                f"{exc!r}") from exc
+    try:
+        config = EncoderConfig(**manifest["config"])
+    except ContractError as exc:
+        raise IntegrityError(f"checkpoint manifest 'config': {exc}") from exc
+    try:
+        settings = OptimizerState(**manifest["optimizer"])
+    except ContractError as exc:
+        raise IntegrityError(f"checkpoint manifest 'optimizer': {exc}") from exc
+    if len(manifest["vocab"]) > config.vocab_size:
+        raise IntegrityError(
+            f"checkpoint manifest key 'vocab' has {len(manifest['vocab'])} tokens, "
+            f"more than 'config.vocab_size' {config.vocab_size}")
+    return config, settings
 
 
 _TENSOR_PREFIXES = ("param.", "opt.m.", "opt.v.")

@@ -67,6 +67,8 @@ def op_cases(rng):
     yield "abs", w(ad.absolute), a
     yield "relu", w(ad.relu), a
     yield "gelu", w(ad.gelu), a
+    # a fresh generator per call, so every evaluation draws the same mask
+    yield "dropout", w(lambda x: ad.dropout(x, 0.3, np.random.default_rng(7))), a
     yield "matmul_lhs", w(lambda x: ad.matmul(x, ad.constant(mat_b))), mat_a
     yield "matmul_rhs", w(lambda x: ad.matmul(ad.constant(mat_a), x)), mat_b
     yield "linear_x", w(lambda x: ad.linear(

@@ -10,6 +10,7 @@ from cmlmkit.config import RunConfig
 from cmlmkit.errors import ContractError, IntegrityError
 from cmlmkit.evaluation import EmbeddingSet, load_embeddings, save_embeddings
 from cmlmkit.training import load_checkpoint, save_checkpoint
+from test_training import manifest_setting, manifest_without, rewrite_manifest
 
 
 def run_cli(argv, capsys):
@@ -110,6 +111,26 @@ class TestExitCodes:
             help_text = capsys.readouterr().out
             assert name in help_text or "usage" in help_text.lower()
 
+    @pytest.mark.parametrize("line,named", [
+        ("layers = 0", "layers"), ("heads = 0", "heads"), ("hidden = 0", "hidden"),
+        ("ff = 0", "ff"), ("max_len = 0", "max_len"), ("dropout = 1.0", "dropout"),
+    ])
+    def test_out_of_range_config_is_usage_error(self, tmp_path, capsys,
+                                                line, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(["train", "--config", str(cfg), "--corpus",
+                                str(tmp_path / "c.txt"), "--out",
+                                str(tmp_path / "run")], capsys)
+        assert code == EXIT_USAGE
+        assert f"{named} must be" in err and "Traceback" not in err
+
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(["train", "--n-proj", "0", "--corpus",
+                                str(tmp_path / "c.txt"), "--out",
+                                str(tmp_path / "run")], capsys)
+        assert code == EXIT_USAGE and "n_projections must be" in err
+
     def test_no_subcommand_prints_usage(self, capsys):
         code, _, err = run_cli([], capsys)
         assert code == EXIT_USAGE
@@ -193,6 +214,22 @@ class TestTrainEmbedEval:
                                 "--out", str(tmp_path / "x.emb")], capsys)
         assert code == EXIT_DATA
         assert "'layer0.ffn.w2'" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x.emb")
+
+    @pytest.mark.parametrize("edit,named", [
+        (manifest_without("", "optimizer"), "lacks 'optimizer'"),
+        (manifest_setting("config", "pooling", "bogus"), "pooling"),
+    ])
+    def test_bad_manifest_is_integrity_error(self, trained, tmp_path, capsys,
+                                             edit, named):
+        ckpt = rewrite_manifest(os.path.join(trained, "checkpoint.ckpt"),
+                                tmp_path / "bad.ckpt", edit)
+        corpus = tmp_path / "in.txt"
+        corpus.write_text("la\thello there\n")
+        code, _, err = run_cli(["embed", "--ckpt", ckpt, "--in", str(corpus),
+                                "--out", str(tmp_path / "x.emb")], capsys)
+        assert code == EXIT_DATA
+        assert named in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "x.emb")
 
     def test_train_determinism_bytes(self, synth_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The fused ops equal the compositions they replaced, and the flat-buffer
-optimizer equals a per-block loop."""
+"""The fused ops equal the compositions they replaced, the in-place kernels
+equal the formulas they replaced, and the flat-buffer optimizer equals a
+per-block loop."""
 
 import numpy as np
 import pytest
@@ -146,6 +147,145 @@ class TestAttentionCore:
             ad.attention_core(t, t, ad.Tensor(np.ones((2, 3, 4))), 0.0, 2)
         with pytest.raises(DimensionError):
             ad.attention_core(t, t, t, 0.0, 4)
+
+
+# The formulas the in-place kernels replaced, kept as references. Each takes
+# the op's inputs and an output gradient ``g`` and returns (output, input
+# gradients).
+
+def _gelu_reference(x, g):
+    c, a = 0.7978845608028654, 0.044715
+    inner = c * (x + a * x * x * x)
+    t = np.tanh(inner)
+    out = 0.5 * x * (1.0 + t)
+    d_inner = c * (1.0 + 3.0 * a * x * x)
+    dt = (1.0 - t * t) * d_inner
+    return out, [g * (0.5 * (1.0 + t) + 0.5 * x * dt)]
+
+
+def _sum_to(grad, shape):
+    return grad.reshape(-1, shape[-1]).sum(axis=0).reshape(shape)
+
+
+def _layer_norm_reference(x, scale, bias, g, eps=ad.LAYER_NORM_EPS):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = centered * inv_std
+    out = x_hat * scale + bias
+    gs = g * scale
+    mean_gs = gs.mean(axis=-1, keepdims=True)
+    mean_gs_xhat = (gs * x_hat).mean(axis=-1, keepdims=True)
+    d_x = inv_std * (gs - mean_gs - x_hat * mean_gs_xhat)
+    return out, [d_x, _sum_to(g * x_hat, scale.shape), _sum_to(g, bias.shape)]
+
+
+def _attention_reference(q, k, v, mask_bias, heads, g):
+    """Query-major scores, the scale applied to the scores, and the row dot
+    of the softmax backward as a product and a sum."""
+    bsz, t, d = q.shape
+    dh = d // heads
+    scale = q.dtype.type(1.0 / np.sqrt(dh))
+
+    def split(m):
+        return m.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(m):
+        return m.transpose(0, 2, 1, 3).reshape(q.shape)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs += mask_bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    gh = split(g)
+    gv = merge(probs.transpose(0, 1, 3, 2) @ gh)
+    gs = gh @ vh.transpose(0, 1, 3, 2)
+    gs -= (gs * probs).sum(axis=-1, keepdims=True)
+    gs *= probs
+    gs *= scale
+    return merge(probs @ vh), [merge(gs @ kh), merge(gs.transpose(0, 1, 3, 2) @ qh), gv]
+
+
+def _assert_matches(got, got_g, want, want_g):
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, **F32)
+    for g, h in zip(got_g, want_g):
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, h, **F32)
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("shape", [(9,), (7, 8), (3, 5, 16)])
+    def test_gelu_equals_reference(self, shape):
+        rng = np.random.default_rng(4)
+        x, weights = _f32(rng, shape) * np.float32(3.0), _f32(rng, shape)
+        got, got_g = _grads(ad.gelu, (x,), weights)
+        _assert_matches(got, got_g, *_gelu_reference(x, weights))
+
+    @pytest.mark.parametrize("shape", [(8,), (7, 8), (3, 5, 8)])
+    def test_layer_norm_equals_reference(self, shape):
+        rng = np.random.default_rng(5)
+        x = _f32(rng, shape) * np.float32(2.0) + np.float32(0.5)
+        scale, bias = _f32(rng, (shape[-1],)), _f32(rng, (shape[-1],))
+        weights = _f32(rng, shape)
+        got, got_g = _grads(ad.layer_norm, (x, scale, bias), weights)
+        _assert_matches(got, got_g,
+                        *_layer_norm_reference(x, scale, bias, weights))
+
+    @pytest.mark.parametrize("heads,t", [(1, 5), (2, 5), (4, 5), (2, 1)])
+    def test_attention_core_equals_reference(self, heads, t):
+        rng = np.random.default_rng(6)
+        q, k, v, weights = (_f32(rng, (3, t, 8)) for _ in range(4))
+        mask = np.ones((3, t), np.float32)
+        mask[0, 3:] = 0  # padded keys
+        mask[2, 1:] = 0
+        bias = (1.0 - mask)[:, None, None, :] * np.float32(-1e9)
+        got, got_g = _grads(
+            lambda q, k, v: ad.attention_core(q, k, v, bias, heads),
+            (q, k, v), weights)
+        _assert_matches(got, got_g,
+                        *_attention_reference(q, k, v, bias, heads, weights))
+
+
+class TestDropout:
+    # at 0.15, float32(1 / 0.85) differs from float32(1) / float32(0.85), so
+    # this rate also pins down which of the two the scale is
+    @pytest.mark.parametrize("rate", [0.1, 0.15])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_composed_mul(self, dtype, rate):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 6, 8)).astype(dtype)
+        weights = rng.standard_normal(x.shape).astype(dtype)
+        draws = np.random.default_rng(8)
+        got, (got_g,) = _grads(lambda t: ad.dropout(t, rate, draws),
+                               (x,), weights)
+        replay = np.random.default_rng(8)
+        keep = (replay.random(x.shape) >= rate).astype(dtype)
+        want, (want_g,) = _grads(
+            lambda t: ad.mul(t, ad.constant(keep / (1.0 - rate))),
+            (x,), weights)
+        assert got.dtype == got_g.dtype == dtype
+        # bitwise, so the sign of a dropped negative element counts too
+        assert got.tobytes() == want.tobytes()
+        assert got_g.tobytes() == want_g.tobytes()
+        np.testing.assert_array_equal(got != 0, keep != 0)
+        # g * keep / (1 - rate), to the rounding of one multiply by 1 / (1 - rate)
+        np.testing.assert_allclose(got_g, weights * keep / (1.0 - rate),
+                                   rtol=2 * np.finfo(dtype).eps, atol=0)
+        assert draws.random() == replay.random()  # the same draws were used
+
+    def test_one_tape_entry_and_a_valid_rate(self):
+        x = ad.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        with ad.GradientTape() as tape:
+            ad.dropout(x, 0.5, np.random.default_rng(0))
+        assert [e.name for e in tape._entries] == ["dropout"]
+        for rate in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ContractError, match="rate"):
+                ad.dropout(x, rate, np.random.default_rng(0))
 
 
 def _reference_step(params, grads, state):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmlmkit import autodiff as ad
+from cmlmkit.config import RunConfig
 from cmlmkit.errors import ContractError, DataError, DimensionError
 from cmlmkit.masking import make_batch, make_pairs
 from cmlmkit.model import (EncoderConfig, embed_sentence, embed_texts, encode,
@@ -35,9 +36,20 @@ class TestConfig:
         with pytest.raises(ContractError):
             EncoderConfig(vocab_size=100, hidden=10, heads=4)
 
+    @pytest.mark.parametrize("field,value", [
+        ("layers", 0), ("layers", -1), ("heads", 0), ("hidden", 0), ("ff", 0),
+        ("max_len", 0), ("n_projections", 0), ("dropout", 1.0),
+        ("dropout", -0.1),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            EncoderConfig(vocab_size=100, **{field: value})
+        with pytest.raises(ContractError, match=field):
+            RunConfig(**{field: value}).encoder_config()
+
     def test_round_trips_via_dict(self):
         cfg = EncoderConfig(vocab_size=77, layers=3, pooling="max")
-        assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+        assert EncoderConfig(**cfg.to_dict()) == cfg
 
 
 class TestEncode:

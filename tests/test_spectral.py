@@ -88,3 +88,26 @@ class TestTopTwoDirections:
         rows = np.outer(np.arange(1, 7, dtype=float), [1.0, 2.0, 2.0])
         with pytest.raises(DegenerateInputError):
             top_two_directions(rows)
+
+
+class TestCloseSingularValues:
+    """Top two singular values 1 and 0.999: the direction must still be the
+    true top eigenvector, which power iteration missed (|cos| 0.88)."""
+
+    def _matrix(self):
+        rng = np.random.default_rng(21)
+        u, _ = np.linalg.qr(rng.standard_normal((500, 64)))
+        v, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        s = np.concatenate(([1.0, 0.999], np.linspace(0.5, 0.01, 62)))
+        return (u * s) @ v.T, v
+
+    def test_first_direction_is_the_true_top_eigenvector(self):
+        m, v = self._matrix()
+        got = first_principal_direction(m)
+        assert abs(np.dot(got, v[:, 0])) >= 1 - 1e-9
+
+    def test_top_two_are_the_true_top_eigenvectors(self):
+        m, v = self._matrix()
+        c1, c2 = top_two_directions(m)
+        assert abs(np.dot(c1, v[:, 0])) >= 1 - 1e-9
+        assert abs(np.dot(c2, v[:, 1])) >= 1 - 1e-9

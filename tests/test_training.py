@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +40,34 @@ def tiny_plan(data_dir, out_dir, **overrides):
                     out_dir=out_dir)
     defaults.update(overrides)
     return TrainPlan(**defaults)
+
+
+def rewrite_manifest(path, out, edit):
+    """Copy the checkpoint at ``path`` to ``out`` with ``edit`` applied to its
+    parsed JSON manifest; ``edit`` returns the manifest to write."""
+    blob = open(path, "rb").read()
+    head = len(training.CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[head:head + 4])
+    manifest = edit(json.loads(blob[head + 4:head + 4 + length]))
+    text = json.dumps(manifest).encode("utf-8")
+    with open(out, "wb") as fh:
+        fh.write(blob[:head] + struct.pack("<I", len(text)) + text
+                 + blob[head + 4 + length:])
+    return str(out)
+
+
+def manifest_without(section, key):
+    def edit(manifest):
+        del (manifest[section] if section else manifest)[key]
+        return manifest
+    return edit
+
+
+def manifest_setting(section, key, value):
+    def edit(manifest):
+        (manifest[section] if section else manifest)[key] = value
+        return manifest
+    return edit
 
 
 class TestPlanValidation:
@@ -154,6 +184,43 @@ class TestCheckpointIO:
         save_checkpoint(path, config, "cmlm_only", 0, vocab, params, state, {})
         with pytest.raises(IntegrityError, match=named):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,named", [
+        (manifest_without("", "optimizer"), "lacks 'optimizer'"),
+        (manifest_without("", "config"), "lacks 'config'"),
+        (manifest_without("optimizer", "kind"), "lacks 'optimizer.kind'"),
+        (manifest_without("config", "hidden"), "lacks 'config.hidden'"),
+        (manifest_setting("", "extra", 1), "unknown key 'extra'"),
+        (manifest_setting("config", "bogus", 1), "unknown key 'config.bogus'"),
+        (manifest_setting("", "step", "7"), "'step' must be of type int"),
+        (manifest_setting("", "vocab", "aa bb"), "'vocab' must be of type list"),
+        (manifest_setting("", "vocab", [0, 1]), "'vocab' must list strings"),
+        (manifest_setting("", "strategy", "s9"), "'strategy' must be one of"),
+        (manifest_setting("optimizer", "step", None), "'optimizer.step' must be of type int"),
+        (manifest_setting("optimizer", "kind", "sgd"), "'optimizer'.*sgd"),
+        (manifest_setting("config", "hidden", 16.0), "'config.hidden' must be of type int"),
+        (manifest_setting("config", "dropout", True), "'config.dropout' must be of type float"),
+        (manifest_setting("config", "pooling", "bogus"), "'config'.*pooling.*bogus"),
+        (manifest_setting("config", "layers", 0), "'config'.*layers must be >= 1"),
+        (manifest_setting("rngs", "mask", 5), "'rngs.mask' is not a PCG64 state"),
+        (manifest_setting("rngs", "shuffle", {}), "unknown key 'rngs.shuffle'"),
+        (lambda manifest: [manifest], "not a JSON object"),
+        (lambda manifest: dict(manifest, vocab=manifest["vocab"] + ["zz"]),
+         "'vocab' has 15 tokens, more than 'config.vocab_size' 14"),
+    ])
+    def test_bad_manifest_key_is_an_integrity_error(self, tmp_path, edit, named):
+        path, *_ = self._roundtrip_setup(tmp_path)
+        bad = rewrite_manifest(path, tmp_path / "bad.ckpt", edit)
+        with pytest.raises(IntegrityError, match=named):
+            load_checkpoint(bad)
+
+    def test_rewritten_intact_manifest_still_loads(self, tmp_path):
+        path, config, params, _ = self._roundtrip_setup(tmp_path)
+        same = rewrite_manifest(path, tmp_path / "same.ckpt", lambda m: m)
+        bundle = load_checkpoint(same)
+        assert bundle.config == config and bundle.step == 7
+        np.testing.assert_array_equal(bundle.params["tok_emb"].data,
+                                      params["tok_emb"].data)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, *_ = self._roundtrip_setup(tmp_path)
