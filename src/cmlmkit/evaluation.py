@@ -6,6 +6,7 @@ pipeline outputs can be compared byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -76,56 +77,118 @@ def normalized_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     return m / norms
 
 
-# Bytes of float64 scores held for one block of query rows; the similarity
-# kernel never materializes more of the query x pool matrix than this.
+# Bytes held for one block of query rows: its float32 screen scores take at
+# most half, its survivors' float64 re-ranking arrays the other half, so the
+# similarity kernel never holds more of the query x pool matrix than this.
 SCORE_BLOCK_BYTES = 32 * 2 ** 20
+
+# The screen splits the pool's columns into G = min(SCREEN_GROUPS, pool
+# size) interleaved groups (column j is in group j mod G), padding it to a
+# multiple of G columns.
+SCREEN_GROUPS = 256
+
+# Bytes per survivor of the re-ranking arrays besides its two gathered rows
+# (indices, screen values, score, sort keys and order).
+_SURVIVOR_BYTES = 80
+_UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
+_TINY32 = float(np.finfo(np.float32).tiny)
+
+
+def _pair_scores(queries: np.ndarray, pool: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """Float64 inner product of each (query row, pool row) pair, summed in
+    one fixed order, so a pair's score is a function of the pair alone."""
+    return np.einsum("ij,ij->i", queries[rows], pool[cols])
 
 
 def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
            exclude: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Indices [n_queries, k] of each query's k highest-scoring pool rows,
-    best first, with scores the float64 inner products ``queries @ pool.T``.
+    best first, with scores the float64 inner products of the rows.
 
     ``exclude`` holds (query row, pool row) index arrays, sorted by query
-    row; those pairs score -inf. Ties go to the lowest pool index, also at
-    the k-th boundary, so k=1 is the first maximum. Query rows are scored
-    in blocks of at most SCORE_BLOCK_BYTES of scores.
+    row; those pairs are never retrieved, and every query must keep at least
+    k pool rows. Ties go to the lowest pool index, also at the k-th place,
+    so k=1 is the first maximum.
+
+    Two passes per block of query rows. The screen scores the block in
+    float32, from queries scaled to unit norm and the pool divided by its
+    largest row norm, so no score can overflow. With d the width, u the
+    float32 unit roundoff and tiny the smallest normal float32, each screen
+    score is within E = (d + 3) u + 4 d tiny of its exact scaled value,
+    whatever order the matmul sums in: input rounding, summation and
+    underflow. The k-th largest of a row's group maxima is at most its k-th
+    score, so a pool row whose screen score is more than 2E below that bound
+    cannot be in the top k; the float32 threshold is rounded down. The
+    survivors are re-ranked by ``_pair_scores`` and sorted by score
+    descending, then pool index ascending, so a score and the order depend
+    on the pair alone, not on the block, the chunk or the other queries.
+    SCORE_BLOCK_BYTES bounds the float32 block (half) and the survivors'
+    arrays (the other half, in chunks), with at least one query row per
+    block and per chunk.
     """
-    n_pool = pool.shape[0]
+    n_pool, dim = pool.shape
     if not 1 <= k <= n_pool:
         raise ContractError(f"k={k} must be in [1, {n_pool}]")
-    step = max(1, SCORE_BLOCK_BYTES // (8 * n_pool))
-    top = np.empty((queries.shape[0], k), dtype=np.int64)
-    for start in range(0, queries.shape[0], step):
-        scores = queries[start:start + step] @ pool.T
+    groups = min(SCREEN_GROUPS, n_pool)
+    levels = -(-n_pool // groups)
+    width = levels * groups
+    step = max(1, SCORE_BLOCK_BYTES // (8 * width))
+    # survivors per chunk, and per scoring slice of a chunk
+    chunk = max(1, SCORE_BLOCK_BYTES // (4 * _SURVIVOR_BYTES))
+    slice_len = max(1, SCORE_BLOCK_BYTES // (4 * 16 * dim))
+    # 2E, plus 2u for rounding the threshold (|threshold| <= 2) to float32,
+    # so the float32 threshold stays at or below bound - 2E
+    slack = np.float64(2 * ((dim + 4) * _UNIT_ROUNDOFF32 + 4 * dim * _TINY32))
+
+    n_queries = queries.shape[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    norms[norms == 0] = 1.0
+    q32 = np.empty(queries.shape, dtype=np.float32)
+    np.divide(queries, norms[:, None], out=q32, casting="same_kind")
+    p32 = np.zeros((width, dim), dtype=np.float32)
+    np.divide(pool, math.sqrt(np.einsum("ij,ij->i", pool, pool).max()) or 1.0,
+              out=p32[:n_pool], casting="same_kind")
+
+    top = np.empty((n_queries, k), dtype=np.int64)
+    block = np.empty((min(step, n_queries), width), dtype=np.float32)
+    for start in range(0, n_queries, step):
+        stop = min(start + step, n_queries)
+        screen = np.matmul(q32[start:stop], p32.T, out=block[:stop - start])
+        screen[:, n_pool:] = -np.inf
         if exclude is not None:
-            lo, hi = np.searchsorted(exclude[0], [start, start + step])
-            scores[exclude[0][lo:hi] - start, exclude[1][lo:hi]] = -np.inf
-        top[start:start + step] = _block_top_k(scores, k)
+            lo, hi = np.searchsorted(exclude[0], [start, stop])
+            screen[exclude[0][lo:hi] - start, exclude[1][lo:hi]] = -np.inf
+        by_group = screen.reshape(stop - start, levels, groups)
+        group_max = by_group.max(axis=1)
+        if k <= groups:
+            bound = np.sort(group_max, axis=1)[:, groups - k]
+        else:
+            bound = np.full(stop - start, -np.inf, dtype=np.float32)
+        # real scaled scores lie in [-1 - E, 1 + E], so -2 keeps them all
+        # and drops padding and excluded pairs
+        floor = np.maximum((bound - slack).astype(np.float32), -2)
+        live = group_max >= floor[:, None]
+        # a row keeps at most `levels` columns per live group
+        edges = []
+        if np.count_nonzero(live) * levels > chunk:
+            reach = np.cumsum(live.sum(axis=1)) * levels
+            edges = np.flatnonzero(np.diff((reach - 1) // chunk)) + 1
+        for lo, hi in zip([0, *edges], [*edges, stop - start]):
+            r, g = np.divmod(np.flatnonzero(live[lo:hi]), groups)
+            r += lo
+            pair, level = np.nonzero(by_group[r, :, g] >= floor[r, None])
+            rows, cols = r[pair], level * groups + g[pair]
+            scores = np.concatenate([
+                _pair_scores(queries, pool, start + rows[a:a + slice_len],
+                             cols[a:a + slice_len])
+                for a in range(0, rows.shape[0], slice_len)])
+            order = np.lexsort((cols, -scores, rows))
+            # rows is sorted, and every row has at least k survivors
+            first = np.searchsorted(rows, np.arange(lo, hi))
+            top[start + lo:start + hi] = cols[order[first[:, None]
+                                                    + np.arange(k)]]
     return top
-
-
-def _block_top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k columns of each row of ``scores``, best first, ties lowest."""
-    if k == 1:
-        return np.argmax(scores, axis=1)[:, None]  # first maximum wins
-    n = scores.shape[1]
-    # column n - k now holds each row's k-th highest score, and columns n - k
-    # to n - 1 its k highest; the copy lets the full index array be freed
-    cols = np.argpartition(scores, n - k, axis=1)[:, n - k:].copy()
-    kth = np.take_along_axis(scores, cols[:, :1], axis=1)
-    ties = scores == kth
-    picked_ties = (np.take_along_axis(scores, cols, axis=1) == kth).sum(axis=1)
-    if np.any(ties.sum(axis=1) > picked_ties):
-        # argpartition chose among boundary ties: keep the lowest-index ones
-        places = k - (scores > kth).sum(axis=1)
-        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= places[:, None]
-        ties |= scores > kth
-        cols = np.nonzero(ties)[1].reshape(-1, k)
-    cols.sort(axis=1)
-    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1,
-                       kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
 
 
 def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
@@ -193,7 +256,8 @@ def language_bias_histogram(queries: EmbeddingSet, pool: EmbeddingSet,
 
     A pool row identical in (id, language) to the query is excluded, so a
     set queried against itself never retrieves the query row. Fractions are
-    normalized to sum to one.
+    normalized to sum to one. A query that keeps fewer than k pool rows
+    after that exclusion raises ``ContractError``.
     """
     if len(set(pool.languages)) < 2:
         raise ContractError("pool must span at least two languages")
@@ -208,7 +272,15 @@ def language_bias_histogram(queries: EmbeddingSet, pool: EmbeddingSet,
         if key in rows_of:
             rows_of[key].append(j)
     excluded = [rows_of[key] for key in query_keys]
-    exclude = (np.repeat(np.arange(len(queries)), [len(r) for r in excluded]),
+    n_excluded = np.array([len(r) for r in excluded], dtype=np.int64)
+    short = np.flatnonzero(len(pool) - n_excluded < k)
+    if short.size:
+        i = int(short[0])
+        raise ContractError(
+            f"query {i} (id {queries.ids[i]!r}, language "
+            f"{queries.languages[i]!r}) keeps {len(pool) - n_excluded[i]} pool "
+            f"rows after its (id, language) exclusion, fewer than k={k}")
+    exclude = (np.repeat(np.arange(len(queries)), n_excluded),
                np.fromiter((j for r in excluded for j in r), dtype=np.int64))
     top = _top_k(normalized_rows(queries.vectors, "query"),
                  normalized_rows(pool.vectors, "pool"), k, exclude)

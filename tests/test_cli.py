@@ -289,6 +289,20 @@ class TestAnalysisCommands:
         assert before["la"] > 0.9
         assert after["la"] < 0.6
 
+    def test_bias_hist_refuses_too_few_rows_after_exclusion(self, tmp_path,
+                                                             capsys):
+        pool = str(tmp_path / "pool.emb")
+        queries = str(tmp_path / "q.emb")
+        save_embeddings(EmbeddingSet(np.eye(3, dtype=np.float32),
+                                     ["a", "a", "b"], ["s0", "s0", "s1"]), pool)
+        save_embeddings(EmbeddingSet(np.eye(3, dtype=np.float32)[:1], ["a"],
+                                     ["s0"]), queries)
+        code, out, err = run_cli(["bias-hist", "--queries", queries, "--pool",
+                                  pool, "--k", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "query 0 (id 's0', language 'a') keeps 1 pool rows" in err
+
     def test_plot2d_outputs(self, tmp_path, capsys):
         path, _ = self._offset_file(tmp_path, "p.emb", n=20)
         code, _, _ = run_cli(["plot2d", "--in", path, "--out-csv",

@@ -190,6 +190,18 @@ class TestBiasHistogram:
         with pytest.raises(ContractError):
             language_bias_histogram(es, es, k=len(es))
 
+    def test_query_left_with_fewer_than_k_rows(self):
+        # the query's own (id, language) takes two of the three pool rows,
+        # so k=2 would have to retrieve an excluded row
+        pool = EmbeddingSet(np.eye(3, dtype=np.float32), ["a", "a", "b"],
+                            ids=["s0", "s0", "s1"])
+        queries = EmbeddingSet(np.eye(3, dtype=np.float32)[:1], ["a"],
+                               ids=["s0"])
+        assert language_bias_histogram(queries, pool, k=1) == {"a": 0.0,
+                                                               "b": 1.0}
+        with pytest.raises(ContractError, match="query 0 .* keeps 1 pool"):
+            language_bias_histogram(queries, pool, k=2)
+
 
 class TestLinearProbe:
     def test_separable_blobs(self):
