@@ -38,15 +38,6 @@ class IntegrityError(CmlmError):
         self.offset = offset
 
 
-def read_exact(fh, count: int, what: str) -> bytes:
-    """Exactly ``count`` bytes from ``fh``, or ``IntegrityError`` naming
-    ``what`` as truncated."""
-    data = fh.read(count)
-    if len(data) != count:
-        raise IntegrityError(f"{what} truncated", offset=fh.tell())
-    return data
-
-
 class ConfigMismatchError(CmlmError):
     """A checkpoint was loaded against an incompatible configuration."""
 

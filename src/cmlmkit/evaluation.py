@@ -7,18 +7,21 @@ pipeline outputs can be compared byte for byte.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
+from . import records
 from .errors import (ContractError, DataError, DegenerateInputError,
-                     DimensionError, IntegrityError, read_exact)
+                     DimensionError, IntegrityError)
 from .spectral import first_principal_direction, top_two_directions
 
-EMBEDDING_MAGIC = b"CMLMEMB1"
-EMBEDDING_VERSION = 2
+EMBEDDING_MAGIC = b"CMLMEMB3"
+EMBEDDING_VERSION = 3
+_ROW_MAGIC = b"CMLMEMB1"  # versions 1 and 2: one record per row
+_SECTIONS = {"tags.lengths": ("<u4", 1), "tags.utf8": ("|u1", 1),
+             "tag_index": ("<u4", 1), "ids.lengths": ("<u4", 1),
+             "ids.utf8": ("|u1", 1), "vectors": ("<f4", 2)}
 
 ORTHOGONALITY_TOL = 1e-6
 
@@ -444,66 +447,85 @@ def _write_svg(es: EmbeddingSet, coords: np.ndarray, path: str,
 # ---------------------------------------------------------------------------
 
 def save_embeddings(es: EmbeddingSet, path: str) -> None:
-    """Binary layout (version 2): magic, version, count, dim, tag table, then
-    rows of (tag index, id length, UTF-8 id, little-endian float32 vector).
-    Version 1 rows hold no id."""
-    tags = es.tag_set
-    tag_index = {tag: i for i, tag in enumerate(tags)}
-    vectors = es.vectors.astype(np.float32)
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<III", EMBEDDING_VERSION, vectors.shape[0],
-                             vectors.shape[1]))
-        fh.write(struct.pack("<I", len(tags)))
-        for tag in tags:
-            encoded = tag.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-        for i in range(vectors.shape[0]):
-            row_id = str(es.ids[i]).encode("utf-8")
-            fh.write(struct.pack("<II", tag_index[es.languages[i]], len(row_id)))
-            fh.write(row_id)
-            fh.write(np.ascontiguousarray(
-                vectors[i], dtype=np.dtype(np.float32).newbyteorder("<")).tobytes())
+    """Write ``es`` atomically as an embedding file (version 3): the sorted
+    tag table, each row's tag index, the row ids (byte lengths plus one
+    UTF-8 blob) and the float32 vectors, one ``records`` section each."""
+    index = {tag: i for i, tag in enumerate(es.tag_set)}
+    records.write(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, [
+        *_string_sections("tags", list(index)),
+        ("tag_index", np.array([index[tag] for tag in es.languages], np.uint32)),
+        *_string_sections("ids", [str(row_id) for row_id in es.ids]),
+        ("vectors", np.asarray(es.vectors, dtype=np.float32))])
+
+
+def _string_sections(name: str, strings: list[str]) -> list:
+    encoded = [s.encode("utf-8") for s in strings]
+    return [(f"{name}.lengths", np.array([len(b) for b in encoded], np.uint32)),
+            (f"{name}.utf8", np.frombuffer(b"".join(encoded), np.uint8))]
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
-    """Read a version 1 or 2 file; version 1 rows get their row numbers as ids."""
+    """Read an embedding file of version 3, or of version 1 or 2 by rows."""
     with open(path, "rb") as fh:
-        read = partial(read_exact, fh, what="embedding file")
-        magic = fh.read(len(EMBEDDING_MAGIC))
-        if magic != EMBEDDING_MAGIC:
-            raise IntegrityError("bad embedding file magic", offset=0)
-        version, count, dim = struct.unpack("<III", read(12))
-        if version not in (1, EMBEDDING_VERSION):
-            raise IntegrityError(f"unsupported embedding version {version}",
-                                 offset=8)
-        (n_tags,) = struct.unpack("<I", read(4))
-        tags = []
-        for _ in range(n_tags):
-            (length,) = struct.unpack("<I", read(4))
-            tags.append(_decode(read(length), fh, "language tag"))
-        vectors = np.empty((count, dim), dtype=np.float32)
-        languages = []
-        ids = []
-        for i in range(count):
-            (tag_idx,) = struct.unpack("<I", read(4))
-            if tag_idx >= len(tags):
-                raise IntegrityError(f"tag index {tag_idx} out of range",
-                                     offset=fh.tell())
-            languages.append(tags[tag_idx])
-            if version >= 2:
-                (length,) = struct.unpack("<I", read(4))
-                ids.append(_decode(read(length), fh, "row id"))
-            vectors[i] = np.frombuffer(read(4 * dim), dtype="<f4")
+        if fh.read(len(_ROW_MAGIC)) == _ROW_MAGIC:
+            return _load_rows(records.Reader(fh, "embedding file"))
+    sections = records.read(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                            "embedding file")
+    found = {name: (a.dtype.str, a.ndim) for name, (a, _) in sections.items()}
+    if found != _SECTIONS:
+        raise IntegrityError(f"embedding file has sections {found}, not {_SECTIONS}")
+    vectors, (index, at) = sections["vectors"][0], sections["tag_index"]
+    tags = _strings(sections, "tags", len(sections["tags.lengths"][0]))
+    if len(index) != len(vectors) or np.any(index >= len(tags)):
+        raise IntegrityError("tag index out of range or miscounted", offset=at)
+    return EmbeddingSet(vectors, np.array(tags, dtype=object)[index].tolist(),
+                        _strings(sections, "ids", len(vectors)))
+
+
+def _strings(sections, name: str, count: int) -> list[str]:
+    """The ``count`` strings of sections ``name.lengths`` and ``name.utf8``."""
+    lengths, (blob, at) = sections[f"{name}.lengths"][0], sections[f"{name}.utf8"]
+    if len(lengths) != count or lengths.sum(dtype=np.int64) != len(blob):
+        raise IntegrityError(f"{name}.lengths do not fit {name}.utf8", offset=at)
+    raw, ends = blob.tobytes(), np.cumsum(lengths, dtype=np.int64).tolist()
+    return [_decode(raw[a:b], at + a, f"{name} entry")
+            for a, b in zip([0] + ends, ends)]
+
+
+def _load_rows(reader: records.Reader) -> EmbeddingSet:
+    """Versions 1 and 2: version, count, dim, tag table, then rows of (tag index,
+    [id length, UTF-8 id,] float32 vector); version 1 rows get row numbers."""
+    version, count, dim, n_tags = reader.unpack("<IIII", "header")
+    if version not in (1, 2):
+        raise IntegrityError(f"unsupported embedding version {version}", offset=8)
+    reader.need(4 * n_tags, f"{n_tags} language tags")
+    tags = [_read_text(reader, "language tag") for _ in range(n_tags)]
+    # a version v row holds 4 * v bytes besides its vector and its id
+    reader.need(count * (4 * dim + 4 * version), f"{count} rows of dim {dim}")
+    vectors = np.empty((count, dim), dtype=np.float32)
+    languages, ids = [], []
+    for i in range(count):
+        (tag_idx,) = reader.unpack("<I", "tag index")
+        if tag_idx >= len(tags):
+            raise IntegrityError(f"tag index {tag_idx} out of range",
+                                 offset=reader.fh.tell())
+        languages.append(tags[tag_idx])
+        if version == 2:
+            ids.append(_read_text(reader, "row id"))
+        vectors[i] = np.frombuffer(reader.read(4 * dim, "vector"), dtype="<f4")
+    reader.end()
     return EmbeddingSet(vectors, languages, ids)
 
 
-def _decode(raw: bytes, fh, what: str) -> str:
-    """``raw``, just read from ``fh``, as UTF-8, or ``IntegrityError`` at the
-    offset of its first bad byte."""
+def _read_text(reader: records.Reader, what: str) -> str:
+    (length,) = reader.unpack("<I", f"{what} length")
+    return _decode(reader.read(length, what), reader.fh.tell() - length, what)
+
+
+def _decode(raw: bytes, offset: int, what: str) -> str:
+    """``raw``, read from file offset ``offset``, as UTF-8."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IntegrityError(f"{what} is not valid UTF-8",
-                             offset=fh.tell() - len(raw) + exc.start) from None
+                             offset=offset + exc.start) from None

@@ -11,8 +11,9 @@ batch and optimize the weighted sum of both losses. Stage transitions reset
 optimizer moments but keep parameters and the global step counter; the
 learning-rate schedule spans the whole plan.
 
-Checkpoints are atomic (temp file + rename) and capture parameters, optimizer
-moments, RNG states, vocabulary, and configuration, so an interrupted run
+Checkpoints are ``records`` files (version 2; version 1 is refused): a
+canonical-JSON ``manifest`` (config, vocabulary, optimizer, RNG states),
+then one section per parameter and optimizer moment. So an interrupted run
 resumed from disk is bit-identical to an uninterrupted one.
 """
 
@@ -20,16 +21,15 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
 
+from . import records
 from .autodiff import GradientTape, Tensor
 from .errors import (ConfigMismatchError, ContractError, DataError,
-                     IntegrityError, NonFiniteError, TrainingDiverged,
-                     read_exact)
+                     IntegrityError, NonFiniteError, TrainingDiverged)
 from .losses import (BitextBatch, NLIBatch, bitext_loss, cmlm_loss,
                      combined_loss, in_batch_retrieval_accuracy, nli_loss)
 from .masking import default_num_mask, make_batch, make_pairs
@@ -39,7 +39,7 @@ from .synth import NLI_LABEL_NAMES
 from .text import Vocab, build_vocab, pad_token_lists, tokenize
 
 CHECKPOINT_MAGIC = b"CMLMCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 STRATEGIES = ("cmlm_only", "s1", "s2", "s3")
 _RNG_STREAMS = ("sample", "mask", "dropout", "bitext", "nli")
@@ -183,35 +183,6 @@ def load_nli(path: str) -> list[tuple[str, str, int]]:
 # Checkpoint format
 # ---------------------------------------------------------------------------
 
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
-
-
-def _write_tensor(fh, name: str, array: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<B", _DTYPE_TAGS[array.dtype]))
-    fh.write(struct.pack("<I", array.ndim))
-    fh.write(struct.pack(f"<{array.ndim}I", *array.shape))
-    fh.write(np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
-             .tobytes())
-
-
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-    name = read_exact(fh, name_len, "checkpoint").decode("utf-8")
-    (tag,) = struct.unpack("<B", read_exact(fh, 1, "checkpoint"))
-    if tag not in _TAG_DTYPES:
-        raise IntegrityError(f"unknown dtype tag {tag}", offset=fh.tell())
-    (rank,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-    shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "checkpoint"))
-    dtype = _TAG_DTYPES[tag]
-    payload = read_exact(fh, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize,
-                         "checkpoint")
-    return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-
-
 @dataclass
 class CheckpointBundle:
     """Everything needed to continue a run exactly where it stopped."""
@@ -239,81 +210,34 @@ def save_checkpoint(path: str, config: EncoderConfig, strategy: str,
         "step": step,
         "strategy": strategy,
         "vocab": vocab.tokens,
-        "optimizer": {
-            "kind": opt_state.kind,
-            "learning_rate": opt_state.learning_rate,
-            "beta1": opt_state.beta1,
-            "beta2": opt_state.beta2,
-            "eps": opt_state.eps,
-            "weight_decay": opt_state.weight_decay,
-            "warmup_steps": opt_state.warmup_steps,
-            "total_steps": opt_state.total_steps,
-            "step": opt_state.step,
-        },
+        "optimizer": {key: getattr(opt_state, key) for key in _OPTIMIZER_TYPES},
         "rngs": rng_states,
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name in sorted(params):
-        tensors.append((f"param.{name}", params[name].data))
-    for name in sorted(opt_state.m):
-        tensors.append((f"opt.m.{name}", opt_state.m[name]))
-    for name in sorted(opt_state.v):
-        tensors.append((f"opt.v.{name}", opt_state.v[name]))
-
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, array in tensors:
-            _write_tensor(fh, name, array)
-    os.replace(tmp, path)
+    sections = [("manifest", np.frombuffer(blob, dtype=np.uint8))]
+    sections += [(f"param.{name}", params[name].data) for name in sorted(params)]
+    sections += [(f"opt.m.{name}", opt_state.m[name]) for name in sorted(opt_state.m)]
+    sections += [(f"opt.v.{name}", opt_state.v[name]) for name in sorted(opt_state.v)]
+    records.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, sections)
 
 
-def load_checkpoint(path: str,
-                    expect_config: EncoderConfig | None = None) -> CheckpointBundle:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise IntegrityError("bad checkpoint magic", offset=0)
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-        if version != CHECKPOINT_VERSION:
-            raise IntegrityError(f"unsupported checkpoint version {version}",
-                                 offset=len(CHECKPOINT_MAGIC))
-        (manifest_len,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-        try:
-            manifest = json.loads(
-                read_exact(fh, manifest_len, "checkpoint").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IntegrityError(f"corrupt manifest: {exc}",
-                                 offset=fh.tell()) from exc
-        (tensor_count,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint"))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(tensor_count):
-            name, array = _read_tensor(fh)
-            arrays[name] = array
-        if fh.read(1):
-            raise IntegrityError("checkpoint has bytes after its last tensor",
-                                 offset=fh.tell() - 1)
-
+def load_checkpoint(path: str) -> CheckpointBundle:
+    sections = records.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                            "checkpoint")
+    blob, at = sections.pop("manifest", (np.empty(0, np.uint8), None))
+    try:
+        manifest = json.loads(blob.tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"corrupt manifest: {exc}", offset=at) from exc
+    arrays = {name: array for name, (array, _) in sections.items()}
     config, settings = _parse_manifest(manifest)
-    if expect_config is not None and config != expect_config:
-        raise ConfigMismatchError(
-            f"checkpoint config {config} does not match expected {expect_config}")
     _check_tensors_fit(arrays, config)
 
-    params = {name[len("param."):]: Tensor(array, requires_grad=True)
-              for name, array in arrays.items() if name.startswith("param.")}
-    opt_state = replace(
-        settings,
-        m={name[len("opt.m."):]: arr for name, arr in arrays.items()
-           if name.startswith("opt.m.")},
-        v={name[len("opt.v."):]: arr for name, arr in arrays.items()
-           if name.startswith("opt.v.")},
-    )
+    groups = {prefix: {name[len(prefix):]: array for name, array in arrays.items()
+                       if name.startswith(prefix)} for prefix in _TENSOR_PREFIXES}
+    params = {name: Tensor(array, requires_grad=True)
+              for name, array in groups["param."].items()}
+    opt_state = replace(settings, m=groups["opt.m."], v=groups["opt.v."])
     return CheckpointBundle(
         config=config, strategy=manifest["strategy"], step=manifest["step"],
         vocab=Vocab(manifest["vocab"]), params=params, opt_state=opt_state,
@@ -558,9 +482,8 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
         total_steps=total)
 
     if resume is not None:
-        bundle = load_checkpoint(resume, expect_config=run.config) \
-            if isinstance(resume, str) else resume
-        if isinstance(resume, CheckpointBundle) and bundle.config != run.config:
+        bundle = load_checkpoint(resume) if isinstance(resume, str) else resume
+        if bundle.config != run.config:
             raise ConfigMismatchError(
                 f"checkpoint config {bundle.config} does not match {run.config}")
         _check_resume_schedule(bundle, plan.strategy, opt_state)

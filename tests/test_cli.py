@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from cmlmkit import records
 from cmlmkit.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                          dispatch)
 from cmlmkit.config import RunConfig
 from cmlmkit.errors import ContractError, IntegrityError
-from cmlmkit.evaluation import EmbeddingSet, load_embeddings, save_embeddings
+from cmlmkit.evaluation import (EMBEDDING_MAGIC, EMBEDDING_VERSION, EmbeddingSet,
+                                load_embeddings, save_embeddings)
 from cmlmkit.training import load_checkpoint, save_checkpoint
 from test_training import manifest_setting, manifest_without, rewrite_manifest
 
@@ -397,14 +399,17 @@ class TestCorruptEmbeddingText:
         save_embeddings(EmbeddingSet(np.eye(3, dtype=np.float32),
                                      ["la", "lb", "la"],
                                      ["r0", "r1", "r2"]), path)
-        # magic, version/count/dim, tag count, then "la" and "lb" as
-        # (length, bytes); row 0 is (tag index, id length, "r0", vector)
-        tag_table = 8 + 12 + 4
-        offset = tag_table + 4 if field == "tag" else tag_table + 2 * (4 + 2) + 8
-        data = bytearray(open(path, "rb").read())
-        assert data[offset:offset + 1] == (b"l" if field == "tag" else b"r")
-        data[offset] = 0xFF
-        open(path, "wb").write(bytes(data))
+        # rewrite the tag or id blob with a 0xFF byte, framed and CRC'd anew
+        blob = b"lalb" if field == "tag" else b"r0r1r2"
+        offset = open(path, "rb").read().index(blob)
+        sections = records.read(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                                "embedding file")
+        arrays = {name: array for name, (array, _) in sections.items()}
+        name = "tags.utf8" if field == "tag" else "ids.utf8"
+        arrays[name] = np.frombuffer(b"\xff" + blob[1:], dtype=np.uint8)
+        records.write(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                      list(arrays.items()))
+        assert open(path, "rb").read()[offset] == 0xFF
 
         with pytest.raises(IntegrityError) as info:
             load_embeddings(path)

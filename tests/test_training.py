@@ -1,11 +1,11 @@
 import json
 import os
-import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmlmkit import training
+from cmlmkit import records, training
 from cmlmkit.errors import (ConfigMismatchError, ContractError, DataError,
                             IntegrityError, NonFiniteError, TrainingDiverged)
 from cmlmkit.model import EncoderConfig, init_params
@@ -45,14 +45,14 @@ def tiny_plan(data_dir, out_dir, **overrides):
 def rewrite_manifest(path, out, edit):
     """Copy the checkpoint at ``path`` to ``out`` with ``edit`` applied to its
     parsed JSON manifest; ``edit`` returns the manifest to write."""
-    blob = open(path, "rb").read()
-    head = len(training.CHECKPOINT_MAGIC) + 4
-    (length,) = struct.unpack("<I", blob[head:head + 4])
-    manifest = edit(json.loads(blob[head + 4:head + 4 + length]))
+    sections = records.read(path, training.CHECKPOINT_MAGIC,
+                            training.CHECKPOINT_VERSION, "checkpoint")
+    manifest = edit(json.loads(sections["manifest"][0].tobytes()))
     text = json.dumps(manifest).encode("utf-8")
-    with open(out, "wb") as fh:
-        fh.write(blob[:head] + struct.pack("<I", len(text)) + text
-                 + blob[head + 4 + length:])
+    arrays = {name: array for name, (array, _) in sections.items()}
+    arrays["manifest"] = np.frombuffer(text, dtype=np.uint8)
+    records.write(str(out), training.CHECKPOINT_MAGIC,
+                  training.CHECKPOINT_VERSION, list(arrays.items()))
     return str(out)
 
 
@@ -132,12 +132,15 @@ class TestCheckpointIO:
                         bundle.rng_states)
         assert open(path, "rb").read() == open(second, "rb").read()
 
-    def test_config_mismatch_rejected(self, tmp_path):
-        path, config, _, _ = self._roundtrip_setup(tmp_path)
-        other = EncoderConfig(vocab_size=config.vocab_size, layers=1, heads=2,
-                              hidden=32, ff=32, max_len=16, n_projections=3)
-        with pytest.raises(ConfigMismatchError):
-            load_checkpoint(path, expect_config=other)
+    def test_config_mismatch_rejected(self, data_dir, tmp_path):
+        out = str(tmp_path / "run")
+        _, _, handles = run_plan(tiny_config(), tiny_plan(data_dir, out))
+        other = replace(tiny_config(), hidden=32)
+        for resume in (handles.checkpoint_path,
+                       load_checkpoint(handles.checkpoint_path)):
+            with pytest.raises(ConfigMismatchError, match="hidden=32"):
+                run_plan(other, tiny_plan(data_dir, str(tmp_path / "again")),
+                         resume=resume)
 
     def test_corrupt_magic(self, tmp_path):
         path, *_ = self._roundtrip_setup(tmp_path)
