@@ -1,8 +1,9 @@
 """Command-line surface for the whole pipeline.
 
 Subcommands: gen-synth, train, embed, eval-retrieval, probe, sts, pcr,
-bias-hist, plot2d, ablate-n. Exit codes: 0 success, 1 usage error, 2
-data/integrity error. ``CMLM_LOG`` (debug/info/warn) controls verbosity.
+bias-hist, plot2d, ablate-n. Text inputs are UTF-8 with LF, CRLF or CR line
+ends. Exit codes: 0 success, 1 usage error, 2 data/integrity error, an input
+that cannot be read included. ``CMLM_LOG`` (debug/info/warn) controls verbosity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .evaluation import (EmbeddingSet, language_bias_histogram, linear_probe,
 from .losses import CMLM_VARIANTS, in_batch_retrieval_accuracy
 from .model import POOLING_KINDS, REPRESENTATIONS, embed_texts
 from .synth import SynthSpec, generate
-from .training import STRATEGIES, load_checkpoint, run_plan
+from .text import read_lines
+from .training import STRATEGIES, load_checkpoint, load_corpus, run_plan
 
 log = logging.getLogger("cmlm")
 
@@ -100,22 +102,16 @@ def cmd_train(args) -> int:
 
 def _embed_corpus_lines(path: str, ckpt, representation: str):
     texts, tags = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" in line:
-                tag, text = line.split("\t", 1)
-            else:
-                tag, text = "base", line
+    for line in read_lines(path, "embed input"):
+        if line.strip():
+            tag, text = line.split("\t", 1) if "\t" in line else ("base", line)
             tags.append(tag)
             texts.append(text)
     if not texts:
         raise DataError(f"no sentences found in {path!r}")
     vectors = embed_texts(texts, ckpt.params, ckpt.config, ckpt.vocab,
                           representation=representation)
-    return EmbeddingSet(vectors.astype(np.float32), tags)
+    return EmbeddingSet(vectors, tags)
 
 
 def cmd_embed(args) -> int:
@@ -142,9 +138,8 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def _read_labels(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        labels = [line.strip() for line in fh if line.strip()]
-    return np.asarray(labels)
+    return np.asarray([line.strip() for line in read_lines(path, "label file")
+                       if line.strip()])
 
 
 def cmd_probe(args) -> int:
@@ -164,8 +159,11 @@ def cmd_sts(args) -> int:
     b = load_embeddings(args.emb_b)
     if len(a) != len(b):
         raise DataError("embedding files must be row-aligned")
-    with open(args.gold, "r", encoding="utf-8") as fh:
-        gold = np.array([float(line) for line in fh if line.strip()])
+    lines = read_lines(args.gold, "gold file")
+    try:
+        gold = np.array([float(line) for line in lines if line.strip()])
+    except ValueError as exc:
+        raise DataError(f"gold file {args.gold!r}: {exc}") from None
     if len(gold) != len(a):
         raise DataError("gold score count must match embedding rows")
     scores = np.sum(normalized_rows(a.vectors, "emb-a") *
@@ -258,7 +256,6 @@ def cmd_ablate_n(args) -> int:
 def _pair_retrieval(corpus_path: str, eval_pairs: int, params, handles,
                     representation) -> float:
     """Match the last documents' first sentences to their adjacent twins."""
-    from .training import load_corpus
     docs = load_corpus(corpus_path)
     docs = [d for d in docs if len(d[1]) >= 2][-eval_pairs:]
     left = [sentences[0] for _, sentences in docs]
@@ -267,8 +264,8 @@ def _pair_retrieval(corpus_path: str, eval_pairs: int, params, handles,
                      representation=representation)
     rv = embed_texts(right, params, handles.config, handles.vocab,
                      representation=representation)
-    queries = EmbeddingSet(lv.astype(np.float32), ["q"] * len(lv))
-    candidates = EmbeddingSet(rv.astype(np.float32), ["c"] * len(rv))
+    queries = EmbeddingSet(lv, ["q"] * len(lv))
+    candidates = EmbeddingSet(rv, ["c"] * len(rv))
     return retrieval_accuracy(queries, candidates, np.arange(len(lv)))
 
 
@@ -398,10 +395,7 @@ def dispatch(argv: list[str]) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CmlmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (CmlmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -13,6 +13,7 @@ from dataclasses import MISSING, field, fields, make_dataclass, replace
 
 from .errors import ContractError
 from .model import EncoderConfig
+from .text import read_lines
 from .training import TrainPlan
 
 DEFAULT_VOCAB_SIZE = 256
@@ -50,20 +51,19 @@ class _RunConfigMethods:
     def from_file(cls, path: str) -> "RunConfig":
         values = {}
         known = {f.name for f in fields(cls)}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ContractError(
-                        f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise ContractError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in values:
-                    raise ContractError(f"{path}:{lineno}: duplicate key {key!r}")
-                values[key] = cls._coerce(key, value)
+        for lineno, raw in enumerate(read_lines(path, "config file"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ContractError(
+                    f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in known:
+                raise ContractError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ContractError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = cls._coerce(key, value)
         return cls(**values)
 
     def to_file(self, path: str) -> None:

@@ -19,6 +19,7 @@ from .errors import ContractError, DataError
 from .evaluation import (_directions_per_tag, _planar_basis, _remove_directions,
                          _softmax_regression)
 from .model import embed_texts
+from .synth import write_corpus
 from .training import load_checkpoint, run_plan
 
 # SentenceEncoder parameters: every RunConfig key but corpus_path, which
@@ -109,27 +110,18 @@ class SentenceEncoder(BaseEstimator):
         return [*_CONFIG_KEYS, "representation"]
 
     def fit(self, documents, y=None) -> "SentenceEncoder":
-        if isinstance(documents, str):
-            corpus_path = documents
-            tmp = None
-        else:
-            tmp = tempfile.NamedTemporaryFile(
-                "w", suffix=".txt", delete=False, encoding="utf-8")
-            with tmp as fh:
-                for i, (tag, sentences) in enumerate(_tagged(documents)):
-                    if i:
-                        fh.write("\n")
-                    for sentence in sentences:
-                        fh.write(f"{tag}\t{sentence}\n")
-            corpus_path = tmp.name
-        config = RunConfig(corpus_path=corpus_path, **{
+        if not isinstance(documents, str):
+            fd, path = tempfile.mkstemp(suffix=".txt")
+            os.close(fd)
+            try:
+                write_corpus(_tagged(documents), path)
+                return self.fit(path)
+            finally:
+                os.unlink(path)
+        config = RunConfig(corpus_path=documents, **{
             name: getattr(self, name) for name in _CONFIG_KEYS})
-        try:
-            params, history, handles = run_plan(config.encoder_config(),
-                                                config.train_plan())
-        finally:
-            if tmp is not None:
-                os.unlink(corpus_path)
+        params, history, handles = run_plan(config.encoder_config(),
+                                            config.train_plan())
         self.params_ = params
         self.config_ = handles.config
         self.vocab_ = handles.vocab

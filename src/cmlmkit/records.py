@@ -47,19 +47,25 @@ class Reader:
 
 def write(path: str, magic: bytes, version: int,
           sections: list[tuple[str, np.ndarray]]) -> None:
-    """Write the named arrays as one file, atomically (temp file + rename)."""
-    with open(path + ".tmp", "wb") as fh:
-        fh.write(magic + struct.pack("<II", version, len(sections)))
-        for name, array in sections:
-            array = np.ascontiguousarray(array, array.dtype.newbyteorder("<"))
-            encoded = name.encode("utf-8")
-            head = struct.pack(f"<I{len(encoded)}sBI{array.ndim}I", len(encoded),
-                               encoded, _DTYPES.index(array.dtype), array.ndim,
-                               *array.shape)
-            fh.write(head)
-            fh.write(array)
-            fh.write(struct.pack("<I", zlib.crc32(array, zlib.crc32(head))))
-    os.replace(path + ".tmp", path)
+    """Write the named arrays as one file, atomically: through a temp file
+    of this call's own, renamed over ``path``, or removed if writing fails."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(magic + struct.pack("<II", version, len(sections)))
+            for name, array in sections:
+                array = np.ascontiguousarray(array, array.dtype.newbyteorder("<"))
+                encoded = name.encode("utf-8")
+                head = struct.pack(f"<I{len(encoded)}sBI{array.ndim}I", len(encoded),
+                                   encoded, _DTYPES.index(array.dtype), array.ndim,
+                                   *array.shape)
+                fh.write(head)
+                fh.write(array)
+                fh.write(struct.pack("<I", zlib.crc32(array, zlib.crc32(head))))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read(path: str, magic: bytes, version: int, what: str) -> dict[str, tuple]:

@@ -1,4 +1,5 @@
-"""Vocabulary construction and whitespace tokenization with character fallback.
+"""Text files and tokens: the line reader behind every text input, vocabulary
+construction, and whitespace tokenization with character fallback.
 
 The vocabulary holds five reserved tokens, every single character seen in the
 corpus (so tokenization is total), and then whole words by descending
@@ -73,6 +74,24 @@ class Vocab:
                 ids.append(match_id)
                 pos = end
         return ids
+
+
+def read_lines(path: str, what: str) -> list[str]:
+    """Lines of the UTF-8 file at ``path`` split at ``\\n``, ``\\r\\n`` and ``\\r``;
+    the last is the unterminated tail, "" after a final line end. A byte that
+    is not UTF-8 is a ``DataError`` naming ``what``, the path and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _split_lines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = len(_split_lines(data[:exc.start].decode("utf-8")))
+        raise DataError(f"{what} {path!r} line {line} is not UTF-8 "
+                        f"(at byte offset {exc.start})") from None
+
+
+def _split_lines(text: str) -> list[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def normalize(text: str) -> str:

@@ -36,7 +36,7 @@ from .masking import default_num_mask, make_batch, make_pairs
 from .model import EncoderConfig, encode_and_pool, init_params, param_specs
 from .optim import OptimizerState, optimizer_step
 from .synth import NLI_LABEL_NAMES
-from .text import Vocab, build_vocab, pad_token_lists, tokenize
+from .text import Vocab, build_vocab, pad_token_lists, read_lines, tokenize
 
 CHECKPOINT_MAGIC = b"CMLMCKPT"
 CHECKPOINT_VERSION = 2
@@ -121,61 +121,50 @@ def load_corpus(path: str) -> list[tuple[str, list[str]]]:
     docs: list[tuple[str, list[str]]] = []
     tag = "base"
     sentences: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if sentences:
-                    docs.append((tag, sentences))
-                tag, sentences = "base", []
-                continue
-            if "\t" in line:
-                tag, sentence = line.split("\t", 1)
-            else:
-                sentence = line
-            sentences.append(sentence)
-    if sentences:
-        docs.append((tag, sentences))
+    # a blank line after the last one closes the final document
+    for line in [*read_lines(path, "corpus file"), ""]:
+        if not line.strip():
+            if sentences:
+                docs.append((tag, sentences))
+            tag, sentences = "base", []
+            continue
+        if "\t" in line:
+            tag, line = line.split("\t", 1)
+        sentences.append(line)
     if not docs:
         raise DataError(f"corpus file {path!r} contains no documents")
     return docs
 
 
+def _tab_rows(path: str, what: str):
+    """Yield (line number, tab-separated fields) for each non-blank line of
+    the ``what`` file at ``path``, which must have one."""
+    lines = read_lines(path, f"{what} file")
+    if not any(line.strip() for line in lines):
+        raise DataError(f"{what} file {path!r} is empty")
+    for i, line in enumerate(lines, start=1):
+        if line.strip():
+            yield i, line.split("\t")
+
+
 def load_bitext(path: str) -> list[tuple[str, str, str, str]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(
-                    f"bitext line {i + 1} must have 4 tab-separated fields")
-            rows.append(tuple(parts))
-    if not rows:
-        raise DataError(f"bitext file {path!r} is empty")
+    for i, parts in _tab_rows(path, "bitext"):
+        if len(parts) != 4:
+            raise DataError(f"bitext line {i} must have 4 tab-separated fields")
+        rows.append(tuple(parts))
     return rows
 
 
 def load_nli(path: str) -> list[tuple[str, str, int]]:
     label_ids = {name: i for i, name in enumerate(NLI_LABEL_NAMES)}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise DataError(
-                    f"NLI line {i + 1} needs premise, hypothesis, and label")
-            label = parts[2]
-            if label not in label_ids:
-                raise DataError(f"NLI line {i + 1} has unknown label {label!r}")
-            rows.append((parts[0], parts[1], label_ids[label]))
-    if not rows:
-        raise DataError(f"NLI file {path!r} is empty")
+    for i, parts in _tab_rows(path, "NLI"):
+        if len(parts) < 3:
+            raise DataError(f"NLI line {i} needs premise, hypothesis, and label")
+        if parts[2] not in label_ids:
+            raise DataError(f"NLI line {i} has unknown label {parts[2]!r}")
+        rows.append((parts[0], parts[1], label_ids[parts[2]]))
     return rows
 
 
@@ -587,16 +576,13 @@ def _records_before(path: str, step: int) -> str:
     if not os.path.exists(path):
         return ""
     kept = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.endswith("\n"):
+    for line in read_lines(path, "metrics log")[:-1]:
+        try:
+            if json.loads(line)["step"] >= step:
                 break
-            try:
-                if json.loads(line)["step"] >= step:
-                    break
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"unreadable metrics record in {path!r}: {exc}") from exc
-            kept.append(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"unreadable metrics record in {path!r}: {exc}") from exc
+        kept.append(line + "\n")
     return "".join(kept)
 
 

@@ -418,3 +418,82 @@ class TestCorruptEmbeddingText:
                                 str(tmp_path / "d.emb")], capsys)
         assert code == EXIT_DATA
         assert "UTF-8" in err and f"offset {offset}" in err
+
+
+BAD = "<bad>"
+
+
+class TestTextInputs:
+    """Every text input goes through one line reader, so a byte that is not
+    UTF-8 exits 2 naming the file and its line, whichever input holds it."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, synth_dir, trained, tmp_path_factory):
+        """Per input: (a valid file of it, argv reading the bad copy at BAD)."""
+        def write(name, text):
+            path = str(tmp_path / name)
+            open(path, "w", encoding="utf-8").write(text)
+            return path
+        emb = str(tmp_path / "e.emb")
+        other = str(tmp_path / "f.emb")
+        save_embeddings(EmbeddingSet(np.eye(3, dtype=np.float32), ["la"] * 3),
+                        emb)
+        save_embeddings(EmbeddingSet(np.float32([[1, 0, 0], [1, 1, 0], [1, 1, 1]]),
+                                     ["la"] * 3), other)
+        labels = write("labels.txt", "a\nb\na\n")
+        corpus = os.path.join(synth_dir, "corpus.txt")
+        train = ["train", "--corpus", corpus, "--out", str(tmp_path / "run"),
+                 "--stage1-steps", "2", "--batch-size", "4"]
+        return {
+            "corpus": (corpus, [*train, "--corpus", BAD]),
+            "bitext": (os.path.join(synth_dir, "bitext.tsv"),
+                       [*train, "--strategy", "s3", "--stage2-steps", "1",
+                        "--bitext", BAD]),
+            "nli": (os.path.join(synth_dir, "nli.tsv"),
+                    [*train, "--nli-steps", "1", "--nli", BAD]),
+            "config": (_tiny_config_file(tmp_path_factory), [*train, "--config", BAD]),
+            "embed": (write("in.txt", "la\taa bb\nlb\tcc dd\nee\n"),
+                      ["embed", "--ckpt", os.path.join(trained, "checkpoint.ckpt"),
+                       "--in", BAD, "--out", str(tmp_path / "o.emb")]),
+            "labels": (labels, ["probe", "--train-emb", emb, "--train-labels", BAD,
+                                "--test-emb", emb, "--test-labels", labels]),
+            "gold": (write("gold.txt", "1\n2\n3\n"),
+                     ["sts", "--emb-a", emb, "--emb-b", other, "--gold", BAD]),
+        }
+
+    @pytest.mark.parametrize("kind", ["corpus", "bitext", "nli", "config",
+                                      "embed", "labels", "gold"])
+    def test_bad_byte_on_line_2_exits_2(self, kind, inputs, tmp_path, capsys):
+        source, argv = inputs[kind]
+        lines = open(source, "rb").read().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        bad = str(tmp_path / f"bad-{kind}")
+        open(bad, "wb").write(b"\n".join(lines))
+        code, _, err = run_cli([bad if arg == BAD else arg for arg in argv],
+                               capsys)
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert repr(bad) in err and "line 2" in err
+
+    def test_non_numeric_gold_score_exits_2(self, inputs, tmp_path, capsys):
+        _, argv = inputs["gold"]
+        gold = tmp_path / "words.txt"
+        gold.write_text("1\nhigh\n3\n")
+        code, _, err = run_cli([str(gold) if arg == BAD else arg for arg in argv],
+                               capsys)
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert repr(str(gold)) in err and "'high'" in err
+
+    @pytest.mark.parametrize("kind", ["gold", "embed"])
+    def test_directory_as_text_input_exits_2(self, kind, inputs, tmp_path,
+                                             capsys):
+        _, argv = inputs[kind]
+        code, _, err = run_cli([str(tmp_path) if arg == BAD else arg
+                                for arg in argv], capsys)
+        assert code == EXIT_DATA and str(tmp_path) in err
+
+
+def test_directory_as_embedding_file_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(["pcr", "--in", str(tmp_path),
+                            "--out", str(tmp_path / "o.emb")], capsys)
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and str(tmp_path) in err

@@ -5,6 +5,7 @@ from cmlmkit.errors import ContractError
 from cmlmkit.estimators import (LogisticProbe, PlanarProjector,
                                 PrincipalComponentRemover, SentenceEncoder,
                                 check_matrix)
+from cmlmkit.synth import write_corpus
 
 
 class TestParamProtocol:
@@ -62,6 +63,22 @@ class TestSentenceEncoder:
         same = enc.transform(["kani moro tesu"])
         again = enc.transform(["kani moro tesu"])
         np.testing.assert_array_equal(same, again)
+
+    def test_fit_on_documents_equals_fit_on_their_corpus_file(self, tmp_path):
+        docs = [("la", ["kani moro tesu", "vilo pagu"]), ["zema kani", "moro"],
+                ("lb", ["tesu vilo", "pagu zema moro", "kani"])]
+        settings = dict(stage1_steps=4, hidden=8, layers=1, heads=2, ff=16,
+                        max_len=8, n_projections=2, vocab_size=48, batch_size=4,
+                        num_mask=1, warmup_steps=1, seed=2)
+        path = str(tmp_path / "corpus.txt")
+        write_corpus([("base", d) if isinstance(d, list) else d for d in docs],
+                     path)
+        in_memory = SentenceEncoder(**settings).fit(docs)
+        on_file = SentenceEncoder(**settings).fit(path)
+        assert in_memory.vocab_.tokens == on_file.vocab_.tokens
+        assert in_memory.params_.keys() == on_file.params_.keys()
+        for name, param in in_memory.params_.items():
+            assert param.data.tobytes() == on_file.params_[name].data.tobytes()
 
     def test_transform_before_fit_rejected(self):
         with pytest.raises(ContractError):

@@ -109,6 +109,13 @@ def test_failed_write_leaves_the_old_file(files, tmp_path):
         records.write(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
                       [("vectors", np.zeros((2, 2), dtype=np.int64))])
     assert open(path, "rb").read() == files["embedding"][1]
+    assert os.listdir(tmp_path) == ["e.emb"]
+
+
+def test_written_file_has_the_mode_open_gives(tmp_path):
+    records.write(str(tmp_path / "r"), EMBEDDING_MAGIC, 1, [])
+    open(tmp_path / "t", "wb").close()
+    assert os.stat(tmp_path / "r").st_mode == os.stat(tmp_path / "t").st_mode
 
 
 @pytest.mark.parametrize("kind", ["checkpoint", "embedding"])

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmlmkit.errors import ContractError, DataError
-from cmlmkit.text import PAD, UNK, NUM_RESERVED, build_vocab, tokenize
+from cmlmkit.text import PAD, UNK, NUM_RESERVED, build_vocab, read_lines, tokenize
 
 
 class TestBuildVocab:
@@ -74,3 +75,31 @@ class TestTokenize:
         ids = tokenize("[pad]", self.vocab)
         assert all(i == UNK or i >= NUM_RESERVED for i in ids)
         assert PAD not in ids
+
+
+class TestReadLines:
+    def test_line_ends_and_tail(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\rc\n\nd")
+        assert read_lines(str(path), "t") == ["a", "b", "c", "", "d"]
+        path.write_bytes(b"a\n")
+        assert read_lines(str(path), "t") == ["a", ""]
+        path.write_bytes(b"")
+        assert read_lines(str(path), "t") == [""]
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet="a \t\r\n\x0b\x0c\x1c\x85\u2028\ufeff"))
+    def test_matches_text_mode_open(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "text-mode.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert read_lines(str(path), "t") == fh.read().split("\n")
+
+    def test_bad_byte_names_line_and_offset(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\rc\n\xc3\xa9\xff")  # 0xC3 0xA9 is "é"
+        with pytest.raises(DataError) as info:
+            read_lines(str(path), "corpus file")
+        message = str(info.value)
+        assert message.startswith(f"corpus file {str(path)!r} line 4 ")
+        assert "offset 9" in message

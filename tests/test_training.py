@@ -12,8 +12,8 @@ from cmlmkit.model import EncoderConfig, init_params
 from cmlmkit.optim import OptimizerState, optimizer_step
 from cmlmkit.synth import SynthSpec, generate
 from cmlmkit.text import build_vocab
-from cmlmkit.training import (TrainPlan, load_checkpoint, load_corpus,
-                              run_plan, save_checkpoint)
+from cmlmkit.training import (TrainPlan, load_bitext, load_checkpoint,
+                              load_corpus, load_nli, run_plan, save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,22 @@ class TestCorpusLoading:
         path.write_text("l0\taa bb\nl0\tbb cc\n\ncc dd\n", encoding="utf-8")
         docs = load_corpus(str(path))
         assert docs == [("l0", ["aa bb", "bb cc"]), ("base", ["cc dd"])]
+
+    @pytest.mark.parametrize("loader, lines, parsed", [
+        (load_corpus, ["l0\taa bb", "l0\tbb cc", "", "", "cc dd", "l1\tdd ee"],
+         [("l0", ["aa bb", "bb cc"]), ("l1", ["cc dd", "dd ee"])]),
+        (load_bitext, ["a b\tc d\tl0\tl1", " ", "e f\tg h\tl0\tl1"],
+         [("a b", "c d", "l0", "l1"), ("e f", "g h", "l0", "l1")]),
+        (load_nli, ["a b\tc d\tentailment", "", "e f\tg h\tneutral\tl0\tl1"],
+         [("a b", "c d", 0), ("e f", "g h", 2)]),
+    ], ids=["corpus", "bitext", "nli"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
+    def test_line_ends_parse_alike(self, tmp_path, loader, lines, parsed, end,
+                                   final):
+        path = tmp_path / "f.txt"
+        path.write_bytes((end.join(lines) + (end if final else "")).encode())
+        assert loader(str(path)) == parsed
 
 
 class TestCheckpointIO:
