@@ -26,10 +26,19 @@ The backward rules of ``add``, ``sub``, ``mul``, ``div``, ``matmul``,
 ``linear`` and ``attention_core`` return ``None`` for an input that does not
 require gradients, so constant operands (masks, scales, biases, frozen
 weights) cost no gradient work.
+
+A tape keeps only what the backward pass reads. It refers to tensors by
+serial number, so it keeps no Tensor alive, and each backward rule holds
+only the arrays its formulas read (shapes and flags instead of whole input
+tensors, an operand's data only when the other operand needs a gradient).
+An op output that no backward rule reads is freed as soon as the forward
+pass drops it. During ``backward`` an intermediate gradient is dropped as
+soon as the op that produced its node has consumed it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -43,6 +52,29 @@ _DEFAULT_DTYPE = np.float32
 # Stack of active tapes; only the innermost records. Thread-confined by design.
 _TAPE_STACK: list["GradientTape"] = []
 
+# Tensor serial numbers: never reused, so a tape can key its nodes by them
+# without keeping the tensors alive.
+_SERIALS = itertools.count()
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every element of ``x`` is finite; exact, like
+    ``np.all(np.isfinite(x))``.
+
+    A contiguous float array is screened with one dot product of its
+    elements with themselves: the squares are non-negative, so the sum is
+    finite only if every element is. Only a non-finite sum (a bad element,
+    or squares that overflow) falls back to the elementwise test.
+    ``np.vdot`` is used because, unlike ``np.dot``, it raises no overflow
+    warning.
+    """
+    if x.dtype.kind == "f" and x.size and (x.flags.c_contiguous
+                                           or x.flags.f_contiguous):
+        flat = x.ravel(order="K")
+        if math.isfinite(np.vdot(flat, flat)):
+            return True
+    return bool(np.all(np.isfinite(x)))
+
 
 def _as_float_array(data, dtype=None) -> np.ndarray:
     if dtype is not None:
@@ -54,16 +86,25 @@ def _as_float_array(data, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable dense float array, optionally tracked for gradients."""
+    """Immutable dense float array, optionally tracked for gradients.
 
-    __slots__ = ("data", "requires_grad")
+    Every Tensor has a serial number no other Tensor of the process shares;
+    a copy, deep copy or unpickled Tensor is built by the constructor and so
+    gets its own.
+    """
+
+    __slots__ = ("data", "requires_grad", "_serial")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = _as_float_array(data, dtype)
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise NonFiniteError("tensor constructed with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self._serial = next(_SERIALS)
+
+    def __reduce__(self):
+        return Tensor, (self.data, self.requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,13 +173,15 @@ class GradientTape:
     Entries are appended in execution order, so every entry's inputs precede
     it; replaying in reverse accumulates a gradient for every reachable
     tensor with ``requires_grad`` exactly once.
+
+    A node is keyed by its tensor's serial number, so the tape holds no
+    Tensor; what it keeps alive is what the backward rules read. The rules
+    stay on the tape after a pass, so ``backward`` may run more than once.
     """
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
-        self._ids: dict[int, int] = {}
-        self._pinned: list[Tensor] = []
-        self._next_id = 0
+        self._ids: dict[int, int] = {}  # tensor serial -> node id
 
     def __enter__(self) -> "GradientTape":
         _TAPE_STACK.append(self)
@@ -150,13 +193,9 @@ class GradientTape:
             raise ContractError("GradientTape contexts closed out of order")
 
     def node_of(self, tensor: Tensor) -> int:
-        key = id(tensor)
-        nid = self._ids.get(key)
+        nid = self._ids.get(tensor._serial)
         if nid is None:
-            nid = self._next_id
-            self._next_id += 1
-            self._ids[key] = nid
-            self._pinned.append(tensor)  # pin so id() stays unique
+            nid = self._ids[tensor._serial] = len(self._ids)
         return nid
 
     def record(self, name: str, inputs: Sequence[Tensor], output: Tensor,
@@ -170,21 +209,30 @@ class GradientTape:
         self._entries.append(entry)
 
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
-        """Gradients of a scalar ``root`` with respect to every reachable node.
+        """Gradients of a scalar ``root`` with respect to its leaf nodes.
 
-        Returns a map from node id to gradient array.
+        Returns a map from node id to gradient array for every reachable
+        node that no op on this tape produced. An op output's gradient is
+        dropped once its op has consumed it.
         """
+        return self._backprop(root, ())
+
+    def _backprop(self, root: Tensor, keep) -> dict[int, np.ndarray]:
+        """``backward``, also returning the gradients of the nodes in ``keep``."""
         if root.data.size != 1:
             raise ContractError(
                 f"backward root must be scalar, got shape {root.data.shape}")
-        root_id = self._ids.get(id(root))
+        root_id = self._ids.get(root._serial)
         if root_id is None:
             raise ContractError("backward root is not on this tape")
         grads: dict[int, np.ndarray] = {
             root_id: np.ones_like(root.data)
         }
         for entry in reversed(self._entries):
-            g_out = grads.get(entry.output_id)
+            if entry.output_id in keep:
+                g_out = grads.get(entry.output_id)
+            else:
+                g_out = grads.pop(entry.output_id, None)
             if g_out is None:
                 continue
             g_inputs = entry.backward(g_out)
@@ -197,22 +245,24 @@ class GradientTape:
                     grads[nid] = g
         return grads
 
+    def _node_ids(self, tensors) -> list[int | None]:
+        return [self._ids.get(t._serial) for t in tensors]
+
     def gradients(self, root: Tensor,
                   params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         """Named-parameter gradients; unreachable parameters get zeros."""
-        node_grads = self.backward(root)
+        nids = self._node_ids(params.values())
+        node_grads = self._backprop(root, set(nids))
         out: dict[str, np.ndarray] = {}
-        for name, p in params.items():
-            nid = self._ids.get(id(p))
-            g = node_grads.get(nid) if nid is not None else None
+        for (name, p), nid in zip(params.items(), nids):
+            g = node_grads.get(nid)
             out[name] = g if g is not None else np.zeros_like(p.data)
         return out
 
     def grad(self, root: Tensor, tensor: Tensor) -> np.ndarray:
         """Gradient of ``root`` with respect to a single tensor."""
-        node_grads = self.backward(root)
-        nid = self._ids.get(id(tensor))
-        g = node_grads.get(nid) if nid is not None else None
+        nids = self._node_ids([tensor])
+        g = self._backprop(root, set(nids)).get(nids[0])
         return g if g is not None else np.zeros_like(tensor.data)
 
 
@@ -227,11 +277,12 @@ def apply_op(name: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     Exposed so callers (and negative-control tests) can define custom ops
     with their own backward rules.
     """
-    if not np.all(np.isfinite(out_data)):
+    if not all_finite(out_data):
         raise NonFiniteError(f"op '{name}' produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = any(t.requires_grad for t in inputs)
+    out._serial = next(_SERIALS)
     tape = active_tape()
     if tape is not None and out.requires_grad:
         tape.record(name, inputs, out, backward)
@@ -272,41 +323,51 @@ def _coerce(a, b) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a, b)
+    a_shape = a.data.shape if a.requires_grad else None
+    b_shape = b.data.shape if b.requires_grad else None
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
 
     return apply_op("add", a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a, b)
+    a_shape = a.data.shape if a.requires_grad else None
+    b_shape = b.data.shape if b.requires_grad else None
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(-g, b_shape))
 
     return apply_op("sub", a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a, b)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return apply_op("mul", a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a, b)
+    a_shape, b_shape, b_data = a.data.shape, b.data.shape, b.data
+    a_data = a.data if b.requires_grad else None
+    a_grad = a.requires_grad
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-              if b.requires_grad else None)
+        ga = _unbroadcast(g / b_data, a_shape) if a_grad else None
+        gb = (None if a_data is None else
+              _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
         return ga, gb
 
     with np.errstate(all="ignore"):
@@ -332,8 +393,10 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
+    x = a.data
+
     def backward(g):
-        return (g / a.data,)
+        return (g / x,)
 
     with np.errstate(all="ignore"):
         out_data = np.log(a.data)
@@ -360,15 +423,19 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
+    x = a.data
+
     def backward(g):
-        return (g * np.sign(a.data),)
+        return (g * np.sign(x),)
 
     return apply_op("abs", np.abs(a.data), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    x = a.data
+
     def backward(g):
-        return (g * (a.data > 0),)
+        return (g * (x > 0),)
 
     return apply_op("relu", np.maximum(a.data, 0), (a,), backward)
 
@@ -496,10 +563,11 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
+    in_shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(in_shape, dtype)
         np.put_along_axis(grad, np.expand_dims(idx, axis), g_exp, axis=axis)
         return (grad,)
 
@@ -521,13 +589,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     if b.data.ndim == 2:
         return linear(a, b)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        if b_data is not None:
+            ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape)
+        if a_data is not None:
+            gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)
         return ga, gb
 
     return apply_op("matmul", a.data @ b.data, (a, b), backward)
@@ -550,16 +621,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out2 = x2 @ w.data
     if b is not None:
         out2 += b.data
-    out_shape = x.data.shape[:-1] + (w.data.shape[1],)
+    x_shape, n = x.data.shape, w.data.shape[1]
+    out_shape = x_shape[:-1] + (n,)
+    w_t = w.data.T if x.requires_grad else None
+    x2_t = x2.T if w.requires_grad else None
+    with_bias = b is not None
+    b_grad = with_bias and b.requires_grad
 
     def backward(g):
-        g2 = g.reshape(rows, w.data.shape[1])
-        gx = ((g2 @ np.ascontiguousarray(w.data.T)).reshape(x.data.shape)
-              if x.requires_grad else None)
-        gw = x2.T @ g2 if w.requires_grad else None
-        if b is None:
+        g2 = g.reshape(rows, n)
+        gx = None if w_t is None else (g2 @ w_t).reshape(x_shape)
+        gw = None if x2_t is None else x2_t @ g2
+        if not with_bias:
             return gx, gw
-        return gx, gw, (g2.sum(axis=0) if b.requires_grad else None)
+        return gx, gw, (g2.sum(axis=0) if b_grad else None)
 
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op("linear", out2.reshape(out_shape), inputs, backward)
@@ -575,7 +650,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
     [B, T, d], all in one op. The scores are held key-major, [B, heads, key,
     query], so the softmax reduces over axis -2, which numpy vectorizes
     along the contiguous query axis. The scale is folded into ``q`` before
-    the product, and the backward keeps only the probabilities.
+    the product. The backward keeps the probabilities and, of the split
+    operands, only those its gradients read.
     """
     shape = q.data.shape
     if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
@@ -600,24 +676,32 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
     probs -= probs.max(axis=-2, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-2, keepdims=True)
+    out_data = merge(probs.transpose(0, 1, 3, 2) @ vh)
+    # the backward reads kh for gq, qh for gk, and vh for either
+    v_grad = v.requires_grad
+    if not q.requires_grad:
+        kh = None
+    if not k.requires_grad:
+        qh = None
+    if kh is None and qh is None:
+        vh = None
 
     def backward(g):
         gh = split(g)
-        gv = merge(probs @ gh) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
+        gv = merge(probs @ gh) if v_grad else None
+        if vh is None:
             return None, None, gv
         gs = vh @ gh.transpose(0, 1, 3, 2)  # d loss / d probs, key-major
         gs -= np.einsum("bhkq,bhkq->bhq", gs, probs)[:, :, None, :]
         gs *= probs  # now d loss / d (k (q scale)ᵀ)
         gq = None
-        if q.requires_grad:
+        if kh is not None:
             gq = merge(gs.transpose(0, 1, 3, 2) @ kh)
             gq *= scale
-        gk = merge(gs @ qh) if k.requires_grad else None
+        gk = None if qh is None else merge(gs @ qh)
         return gq, gk, gv
 
-    return apply_op("attention_core",
-                    merge(probs.transpose(0, 1, 3, 2) @ vh), (q, k, v), backward)
+    return apply_op("attention_core", out_data, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -629,20 +713,21 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
     if table.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a 2-d table, got {table.data.shape}")
+    shape, dtype = table.data.shape, table.data.dtype
 
     def backward(g):
         # Sum the rows of g that share an index: a stable sort groups them in
         # input order, and reduceat adds each group in that fixed order.
-        grad = np.zeros_like(table.data)
+        grad = np.zeros(shape, dtype)
         flat = idx.reshape(-1)
         if flat.size:
-            flat = flat % table.data.shape[0]  # negative indices alias rows
+            flat = flat % shape[0]  # negative indices alias rows
             order = np.argsort(flat, kind="stable")
             ordered = flat[order]
             starts = np.flatnonzero(np.concatenate(
                 ([True], ordered[1:] != ordered[:-1])))
             grad[ordered[starts]] = np.add.reduceat(
-                g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
+                g.reshape(-1, shape[1])[order], starts, axis=0)
         return (grad,)
 
     return apply_op("gather_rows", table.data[idx], (table,), backward)
@@ -652,9 +737,10 @@ def take_per_row(a: Tensor, col_indices) -> Tensor:
     """out[i] = a[i, col_indices[i]] for a 2-d tensor."""
     idx = np.asarray(col_indices)
     rows = np.arange(a.data.shape[0])
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(shape, dtype)
         grad[rows, idx] = g  # one element per row, so no index repeats
         return (grad,)
 
@@ -726,11 +812,12 @@ def layer_norm(a: Tensor, scale: Tensor, bias: Tensor,
     x_hat = x_hat2.reshape(shape)
     out_data = np.multiply(x_hat, scale.data, out=sq.reshape(shape))
     out_data += bias.data
+    scale_data, bias_shape = scale.data, bias.data.shape
 
     def backward(g):
-        d_bias = _unbroadcast(g, bias.data.shape)
-        d_scale = _unbroadcast(g * x_hat, scale.data.shape)
-        d_x = g * scale.data
+        d_bias = _unbroadcast(g, bias_shape)
+        d_scale = _unbroadcast(g * x_hat, scale_data.shape)
+        d_x = g * scale_data
         d_x2 = d_x.reshape(-1, d)
         tmp2 = d_x2 * x_hat2
         mean_gs_xhat = (tmp2 @ row_mean)[:, None]
@@ -756,7 +843,7 @@ def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor,
     precision the difference quotient is dominated by rounding error.
     """
     base = x.data.astype(np.float64)
-    if not np.all(np.isfinite(base)):
+    if not all_finite(base):
         raise NonFiniteError("check_gradient input is not finite")
 
     probe = Tensor(base.copy(), requires_grad=True)
@@ -783,7 +870,7 @@ def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor,
 
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     rel = np.abs(analytic - numeric) / denom
-    if not np.all(np.isfinite(rel)):
+    if not all_finite(rel):
         bad = int(np.argmax(~np.isfinite(rel.reshape(-1))))
         raise NonFiniteError(f"non-finite gradient comparison at element {bad}")
     return float(rel.max())

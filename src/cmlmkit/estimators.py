@@ -14,6 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .autodiff import all_finite
 from .config import RunConfig
 from .errors import ContractError, DataError
 from .evaluation import (_directions_per_tag, _planar_basis, _remove_directions,
@@ -37,7 +38,7 @@ def check_matrix(x, name: str = "X", min_rows: int = 1) -> np.ndarray:
     if arr.dtype.kind not in "fiu":
         raise ContractError(f"{name} must be numeric, got dtype {arr.dtype}")
     arr = arr.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise ContractError(f"{name} contains non-finite values")
     return arr
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import records
+from .autodiff import all_finite
 from .errors import (ContractError, DataError, DegenerateInputError,
                      DimensionError, IntegrityError)
 from .spectral import first_principal_direction, top_two_directions
@@ -41,7 +42,7 @@ class EmbeddingSet:
             raise DimensionError(
                 f"embedding matrix must be [n, d] with n >= 1, "
                 f"got {self.vectors.shape}")
-        if not np.all(np.isfinite(self.vectors)):
+        if not all_finite(self.vectors):
             raise DataError("embedding matrix contains non-finite values")
         if len(self.languages) != self.vectors.shape[0]:
             raise DataError("one language tag per row is required")

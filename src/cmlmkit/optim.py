@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, all_finite
 from .errors import ContractError, NonFiniteError
 
 TRUST_RATIO_CLAMP = 10.0
@@ -171,8 +171,8 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     layout = tuple((name, p.data.shape) for name, p in params.items())
     flat = _flat_buffers(state, layout, dtypes.pop())
     g = np.concatenate([grads[name].reshape(-1) for name in params], out=flat.g)
-    if not np.all(np.isfinite(g)):
-        bad = next(name for name in params if not np.all(np.isfinite(grads[name])))
+    if not all_finite(g):
+        bad = next(name for name in params if not all_finite(grads[name]))
         raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
 
     lr = state.effective_lr()

@@ -79,9 +79,14 @@ class Vocab:
 def read_lines(path: str, what: str) -> list[str]:
     """Lines of the UTF-8 file at ``path`` split at ``\\n``, ``\\r\\n`` and ``\\r``;
     the last is the unterminated tail, "" after a final line end. A byte that
-    is not UTF-8 is a ``DataError`` naming ``what``, the path and the line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    is not UTF-8 is a ``DataError`` naming ``what``, the path and the line; so
+    is a path that cannot be read (missing, a directory, no permission)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"{what} {path!r} cannot be read: "
+                        f"{exc.strerror or exc}") from exc
     try:
         return _split_lines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,44 @@ class TestBackward:
             grads = tape._entries[-1].backward(np.ones((2, 2)))
             assert grads[constant_slot] is None
             assert grads[1 - constant_slot].shape == (2, 2)
+
+
+class TestAllFinite:
+    def test_large_finite_float32_whose_squares_overflow(self):
+        x = np.full((4, 5), 1e20, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ad.all_finite(x)
+        assert ad.all_finite(np.full(3, 1e200))  # float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 37, -1])
+    def test_one_bad_element_anywhere(self, dtype, bad, where):
+        x = np.random.default_rng(0).standard_normal(75).astype(dtype)
+        assert ad.all_finite(x)
+        x[where] = bad
+        assert not ad.all_finite(x)
+        assert not ad.all_finite(x.reshape(5, 15).T)  # F-contiguous
+        assert not ad.all_finite(np.float32(bad))
+
+    def test_transposed_and_strided(self):
+        x = np.random.default_rng(1).standard_normal((6, 4)).astype(np.float32)
+        assert ad.all_finite(x.T) and ad.all_finite(x[::2, 1:])
+        x[4, 2] = np.nan
+        assert not ad.all_finite(x.T)
+        assert not ad.all_finite(x[::2, 1:])
+        assert ad.all_finite(x[1::2])
+
+    def test_empty_and_integer_arrays(self):
+        assert ad.all_finite(np.zeros((0, 3), dtype=np.float32))
+        assert ad.all_finite(np.arange(5))
+
+    def test_messages_unchanged(self):
+        with pytest.raises(NonFiniteError, match="^tensor constructed with non-finite values$"):
+            ad.Tensor([1.0, np.inf])
+        with pytest.raises(NonFiniteError, match="^op 'log' produced non-finite values$"):
+            ad.log(tensor64([0.0]))
 
 
 class TestGatherBackward:

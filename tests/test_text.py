@@ -103,3 +103,10 @@ class TestReadLines:
         message = str(info.value)
         assert message.startswith(f"corpus file {str(path)!r} line 4 ")
         assert "offset 9" in message
+
+    @pytest.mark.parametrize("name", ["missing.txt", ""])
+    def test_unreadable_path_is_a_data_error(self, tmp_path, name):
+        path = str(tmp_path / name)  # a missing file, then a directory
+        with pytest.raises(DataError) as info:
+            read_lines(path, "bitext file")
+        assert str(info.value).startswith(f"bitext file {path!r} cannot be read: ")

@@ -92,8 +92,14 @@ class TestPlanValidation:
 
     def test_missing_corpus_rejected(self, tmp_path):
         plan = TrainPlan(corpus_path=str(tmp_path / "nope.txt"))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="does not exist"):
             run_plan(tiny_config(), plan)
+
+    def test_directory_as_corpus_is_a_data_error(self, tmp_path):
+        plan = TrainPlan(corpus_path=str(tmp_path))
+        with pytest.raises(DataError) as info:
+            run_plan(tiny_config(), plan)
+        assert str(info.value).startswith(f"corpus file {str(tmp_path)!r} ")
 
 
 class TestCorpusLoading:
