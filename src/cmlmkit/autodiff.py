@@ -382,46 +382,6 @@ def neg(a: Tensor) -> Tensor:
     return apply_op("neg", -a.data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):
-        out_data = np.exp(a.data)
-
-    def backward(g):
-        return (g * out_data,)
-
-    return apply_op("exp", out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    x = a.data
-
-    def backward(g):
-        return (g / x,)
-
-    with np.errstate(all="ignore"):
-        out_data = np.log(a.data)
-    return apply_op("log", out_data, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):
-        out_data = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * 0.5 / out_data,)
-
-    return apply_op("sqrt", out_data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out_data * out_data),)
-
-    return apply_op("tanh", out_data, (a,), backward)
-
-
 def absolute(a: Tensor) -> Tensor:
     x = a.data
 

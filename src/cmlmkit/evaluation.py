@@ -19,7 +19,7 @@ from .spectral import first_principal_direction, top_two_directions
 
 EMBEDDING_MAGIC = b"CMLMEMB3"
 EMBEDDING_VERSION = 3
-_ROW_MAGIC = b"CMLMEMB1"  # versions 1 and 2: one record per row
+_ROW_MAGIC = b"CMLMEMB1"  # versions 1 and 2, no longer read
 _SECTIONS = {"tags.lengths": ("<u4", 1), "tags.utf8": ("|u1", 1),
              "tag_index": ("<u4", 1), "ids.lengths": ("<u4", 1),
              "ids.utf8": ("|u1", 1), "vectors": ("<f4", 2)}
@@ -466,10 +466,13 @@ def _string_sections(name: str, strings: list[str]) -> list:
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
-    """Read an embedding file of version 3, or of version 1 or 2 by rows."""
+    """Read an embedding file (version 3). A file of the older row format
+    (versions 1 and 2) is an ``IntegrityError`` naming its version."""
     with open(path, "rb") as fh:
-        if fh.read(len(_ROW_MAGIC)) == _ROW_MAGIC:
-            return _load_rows(records.Reader(fh, "embedding file"))
+        head = fh.read(len(_ROW_MAGIC) + 4)
+    if head[:-4] == _ROW_MAGIC:
+        raise IntegrityError("unsupported embedding file version "
+                             f"{int.from_bytes(head[-4:], 'little')}", offset=8)
     sections = records.read(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
                             "embedding file")
     found = {name: (a.dtype.str, a.ndim) for name, (a, _) in sections.items()}
@@ -491,36 +494,6 @@ def _strings(sections, name: str, count: int) -> list[str]:
     raw, ends = blob.tobytes(), np.cumsum(lengths, dtype=np.int64).tolist()
     return [_decode(raw[a:b], at + a, f"{name} entry")
             for a, b in zip([0] + ends, ends)]
-
-
-def _load_rows(reader: records.Reader) -> EmbeddingSet:
-    """Versions 1 and 2: version, count, dim, tag table, then rows of (tag index,
-    [id length, UTF-8 id,] float32 vector); version 1 rows get row numbers."""
-    version, count, dim, n_tags = reader.unpack("<IIII", "header")
-    if version not in (1, 2):
-        raise IntegrityError(f"unsupported embedding version {version}", offset=8)
-    reader.need(4 * n_tags, f"{n_tags} language tags")
-    tags = [_read_text(reader, "language tag") for _ in range(n_tags)]
-    # a version v row holds 4 * v bytes besides its vector and its id
-    reader.need(count * (4 * dim + 4 * version), f"{count} rows of dim {dim}")
-    vectors = np.empty((count, dim), dtype=np.float32)
-    languages, ids = [], []
-    for i in range(count):
-        (tag_idx,) = reader.unpack("<I", "tag index")
-        if tag_idx >= len(tags):
-            raise IntegrityError(f"tag index {tag_idx} out of range",
-                                 offset=reader.fh.tell())
-        languages.append(tags[tag_idx])
-        if version == 2:
-            ids.append(_read_text(reader, "row id"))
-        vectors[i] = np.frombuffer(reader.read(4 * dim, "vector"), dtype="<f4")
-    reader.end()
-    return EmbeddingSet(vectors, languages, ids)
-
-
-def _read_text(reader: records.Reader, what: str) -> str:
-    (length,) = reader.unpack("<I", f"{what} length")
-    return _decode(reader.read(length, what), reader.fh.tell() - length, what)
 
 
 def _decode(raw: bytes, offset: int, what: str) -> str:

@@ -66,16 +66,16 @@ def _mlm_logits(hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
               config: EncoderConfig, variant: str = "standard",
-              dropout_rng: np.random.Generator | None = None,
-              prefix_override: Tensor | None = None) -> tuple[Tensor, float]:
+              dropout_rng: np.random.Generator | None = None
+              ) -> tuple[Tensor, float]:
     """Mean cross-entropy over all masked positions, plus masked accuracy.
 
-    ``standard`` conditions the denoiser on the projected views of the
-    neighboring sentence; ``skip`` additionally concatenates each masked
-    position's output with the mean projected view before a widened output
-    head; ``unconditioned`` replaces the prefix with zeros and never touches
-    the conditioning sentence. ``prefix_override`` substitutes an explicit
-    prefix tensor (ablation hook).
+    ``standard`` conditions the denoiser on a prefix of the projected views
+    ([B, n_projections, hidden]) of the neighboring sentence; ``skip``
+    additionally concatenates each masked position's output with the mean
+    projected view before a widened output head; ``unconditioned``, the
+    zero-prefix ablation, replaces the prefix with zeros and never touches
+    the conditioning sentence.
     """
     if variant not in CMLM_VARIANTS:
         raise ContractError(
@@ -86,19 +86,13 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
     b = batch.batch_size
     n, d = config.n_projections, config.hidden
 
-    views = None
-    if prefix_override is not None:
-        prefix = prefix_override
-        if variant == "skip":
-            views = prefix_override
-    elif variant == "unconditioned":
+    if variant == "unconditioned":
         dtype = params["tok_emb"].dtype
         prefix = ad.constant(np.zeros((b, n, d), dtype=dtype))
     else:
         v = encode_and_pool(batch.s1_ids, batch.s1_mask, params, config,
                             dropout_rng=dropout_rng)
-        views = project(v, params, config)
-        prefix = views
+        prefix = project(v, params, config)
 
     seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix,
                  dropout_rng=dropout_rng)
@@ -117,9 +111,7 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
 
     hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), flat_rows)  # [M, d]
     if variant == "skip":
-        if views is None:
-            raise ContractError("skip variant requires projected views")
-        mean_view = ad.tmean(views, axis=1)  # [B, d]
+        mean_view = ad.tmean(prefix, axis=1)  # [B, d]
         per_position = ad.gather_rows(mean_view, np.asarray(row_examples))
         widened = ad.concat([hidden, per_position], axis=1)  # [M, 2d]
         hidden = ad.linear(widened, params["skip.w"], params["skip.b"])

@@ -79,6 +79,11 @@ class TrainPlan:
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.alpha < 0:
             raise ContractError("alpha must be non-negative")
+        if self.margin < 0:
+            raise ContractError(f"margin must be >= 0, got {self.margin}")
+        for name in ("batch_size", "log_every", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.strategy in ("cmlm_only", "s1"):
             if self.stage2_steps:
                 raise ContractError(
@@ -88,6 +93,9 @@ class TrainPlan:
         else:
             if self.stage1_steps <= 0 or self.stage2_steps < 0:
                 raise ContractError("two-stage strategies need stage1_steps > 0")
+        if self.needs_bitext() and self.batch_size < 2:
+            raise ContractError(f"batch_size must be >= 2 for in-batch negatives "
+                                f"of the bitext loss, got {self.batch_size}")
 
     def stages(self) -> list[tuple[str, int]]:
         table = {
@@ -415,34 +423,25 @@ class _Run:
         dropout_rng = self.rngs["dropout"] if self.config.dropout > 0 else None
         record: dict = {"step": self.step, "stage": kind}
         with GradientTape() as tape:
-            if kind == "cmlm":
+            # a joint step draws its cmlm batch before its bitext batch; that
+            # order fixes which batches a seed gives
+            if kind in ("cmlm", "joint"):
                 loss, acc = cmlm_loss(self._draw_cmlm_batch(), self.params,
                                       self.config, variant=plan.variant,
                                       dropout_rng=dropout_rng)
                 record.update(cmlm_loss=loss.item(), masked_acc=acc)
-            elif kind == "br":
-                src, tgt = self._draw_bitext_vectors(dropout_rng)
-                loss = bitext_loss(BitextBatch(src, tgt, plan.margin))
-                record.update(br_loss=loss.item(),
-                              retrieval_acc=in_batch_retrieval_accuracy(
-                                  src.data, tgt.data))
-            elif kind == "joint":
-                l_cmlm, acc = cmlm_loss(self._draw_cmlm_batch(), self.params,
-                                        self.config, variant=plan.variant,
-                                        dropout_rng=dropout_rng)
+            if kind in ("br", "joint"):
                 src, tgt = self._draw_bitext_vectors(dropout_rng)
                 l_br = bitext_loss(BitextBatch(src, tgt, plan.margin))
-                loss = combined_loss(l_cmlm, l_br, plan.alpha)
-                record.update(cmlm_loss=l_cmlm.item(), masked_acc=acc,
-                              br_loss=l_br.item(),
+                record.update(br_loss=l_br.item(),
                               retrieval_acc=in_batch_retrieval_accuracy(
                                   src.data, tgt.data))
-            elif kind == "nli":
+                loss = (combined_loss(loss, l_br, plan.alpha)
+                        if kind == "joint" else l_br)
+            if kind == "nli":
                 loss, acc = nli_loss(self._draw_nli_batch(dropout_rng),
                                      self.params)
                 record.update(nli_loss=loss.item(), nli_acc=acc)
-            else:  # pragma: no cover
-                raise ContractError(f"unknown stage kind {kind!r}")
             grads = tape.gradients(loss, self.params)
         record["loss"] = loss.item()
         record["lr"] = self.opt_state.effective_lr()
@@ -522,12 +521,9 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
     history: list[dict] = []
     checkpoint()
     try:
-        boundaries = []
-        start = 0
+        hi = 0
         for kind, n in plan.stages():
-            boundaries.append((kind, start, start + n))
-            start += n
-        for kind, lo, hi in boundaries:
+            lo, hi = hi, hi + n
             if run.step >= hi:
                 continue
             if run.step == lo and run.step > 0:
@@ -536,8 +532,6 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
                 try:
                     record = run._step(kind)
                 except NonFiniteError as exc:
-                    if metrics_fh:
-                        metrics_fh.close()
                     raise TrainingDiverged(str(exc),
                                            last_checkpoint=ckpt_path) from exc
                 history.append(record)

@@ -124,7 +124,7 @@ class TestBackward:
 
     def test_forward_nan_raises(self):
         with pytest.raises(NonFiniteError):
-            ad.log(tensor64([-1.0]))
+            ad.div(tensor64([1.0]), tensor64([0.0]))
 
     @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
     def test_constant_operand_gets_no_gradient(self, op):
@@ -172,8 +172,8 @@ class TestAllFinite:
     def test_messages_unchanged(self):
         with pytest.raises(NonFiniteError, match="^tensor constructed with non-finite values$"):
             ad.Tensor([1.0, np.inf])
-        with pytest.raises(NonFiniteError, match="^op 'log' produced non-finite values$"):
-            ad.log(tensor64([0.0]))
+        with pytest.raises(NonFiniteError, match="^op 'div' produced non-finite values$"):
+            ad.div(tensor64([1.0]), tensor64([0.0]))
 
 
 class TestGatherBackward:

@@ -133,6 +133,29 @@ class TestExitCodes:
                                 str(tmp_path / "run")], capsys)
         assert code == EXIT_USAGE and "n_projections must be" in err
 
+    @pytest.mark.parametrize("line,flags,named", [
+        ("log_every = 0", [], "log_every"),
+        ("checkpoint_every = 0", [], "checkpoint_every"),
+        ("", ["--batch-size", "0"], "batch_size"),
+        ("", ["--strategy", "s2", "--stage2-steps", "3", "--margin", "-1"],
+         "margin"),
+        ("", ["--strategy", "s2", "--stage2-steps", "3", "--batch-size", "1"],
+         "batch_size"),
+    ])
+    def test_plan_value_below_its_floor_is_refused_before_training(
+            self, synth_dir, tmp_path, capsys, line, flags, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        code, _, err = run_cli([
+            "train", "--config", str(cfg),
+            "--corpus", os.path.join(synth_dir, "corpus.txt"),
+            "--bitext", os.path.join(synth_dir, "bitext.tsv"),
+            "--stage1-steps", "3", "--out", str(out), *flags], capsys)
+        assert code == EXIT_USAGE
+        assert f"{named} must be >= " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_no_subcommand_prints_usage(self, capsys):
         code, _, err = run_cli([], capsys)
         assert code == EXIT_USAGE

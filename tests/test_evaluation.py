@@ -383,19 +383,6 @@ class TestEmbeddingFile:
         assert q2.ids == queries.ids and p2.ids == pool.ids
         assert language_bias_histogram(q2, p2, k=1) == in_memory
 
-    def test_version_1_file_gets_row_number_ids(self, tmp_path):
-        import struct
-        vectors = np.array([[1.0, 2.0], [3.0, 4.0]], dtype="<f4")
-        blob = b"CMLMEMB1" + struct.pack("<IIII", 1, 2, 2, 1)
-        blob += struct.pack("<I", 2) + b"l0"
-        for row in vectors:
-            blob += struct.pack("<I", 0) + row.tobytes()
-        (tmp_path / "v1.emb").write_bytes(blob)
-        loaded = load_embeddings(str(tmp_path / "v1.emb"))
-        np.testing.assert_array_equal(loaded.vectors, vectors)
-        assert loaded.languages == ["l0", "l0"]
-        assert loaded.ids == ["0", "1"]
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.emb"
         path.write_bytes(b"NOTANEMB" + b"\x00" * 32)

@@ -90,6 +90,24 @@ class TestPlanValidation:
         assert plan.stages()[-1] == ("nli", 2)
         assert plan.total_steps() == 10
 
+    @pytest.mark.parametrize("setting,named", [
+        (dict(log_every=0), "log_every"),
+        (dict(checkpoint_every=0), "checkpoint_every"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(margin=-1.0), "margin"),
+        (dict(strategy="s1", batch_size=1), "batch_size"),
+        (dict(strategy="s2", stage1_steps=5, stage2_steps=3, batch_size=1),
+         "batch_size"),
+    ])
+    def test_value_below_its_floor_is_refused(self, setting, named):
+        with pytest.raises(ContractError, match=f"^{named} must be >= "):
+            TrainPlan(**setting)
+
+    def test_batch_of_one_is_allowed_without_bitext(self):
+        assert TrainPlan(batch_size=1, nli_steps=2).batch_size == 1
+        assert TrainPlan(strategy="s2", stage1_steps=5, batch_size=1).stages() \
+            == [("cmlm", 5)]
+
     def test_missing_corpus_rejected(self, tmp_path):
         plan = TrainPlan(corpus_path=str(tmp_path / "nope.txt"))
         with pytest.raises(DataError, match="does not exist"):
