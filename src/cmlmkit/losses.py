@@ -80,7 +80,7 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
     if variant not in CMLM_VARIANTS:
         raise ContractError(
             f"variant must be one of {CMLM_VARIANTS}, got {variant!r}")
-    if batch.total_masked == 0:
+    if batch.mask_rows.size == 0:
         raise ContractError("CMLM loss is undefined without masked positions")
 
     b = batch.batch_size
@@ -96,31 +96,21 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
 
     seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix,
                  dropout_rng=dropout_rng)
-    t_total = seq.data.shape[1]
-
-    flat_rows = []
-    flat_labels = []
-    row_examples = []
-    for i, (positions, labels) in enumerate(zip(batch.mask_positions,
-                                                batch.mask_labels)):
-        flat_rows.extend(i * t_total + n + positions)
-        flat_labels.extend(labels)
-        row_examples.extend([i] * len(positions))
-    flat_rows = np.asarray(flat_rows, dtype=np.int64)
-    flat_labels = np.asarray(flat_labels, dtype=np.int64)
+    # row of each masked position in the flattened [B * (N + L2), d] outputs
+    flat_rows = batch.mask_rows * seq.data.shape[1] + n + batch.mask_cols
 
     hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), flat_rows)  # [M, d]
     if variant == "skip":
         mean_view = ad.tmean(prefix, axis=1)  # [B, d]
-        per_position = ad.gather_rows(mean_view, np.asarray(row_examples))
+        per_position = ad.gather_rows(mean_view, batch.mask_rows)
         widened = ad.concat([hidden, per_position], axis=1)  # [M, 2d]
         hidden = ad.linear(widened, params["skip.w"], params["skip.b"])
 
     logits = _mlm_logits(hidden, params)  # [M, V]
     log_probs = ad.log_softmax(logits)
-    picked = ad.take_per_row(log_probs, flat_labels)
+    picked = ad.take_per_row(log_probs, batch.mask_labels)
     loss = ad.neg(ad.tmean(picked))
-    accuracy = float(np.mean(np.argmax(logits.data, axis=-1) == flat_labels))
+    accuracy = float(np.mean(np.argmax(logits.data, -1) == batch.mask_labels))
     return loss, accuracy
 
 

@@ -6,12 +6,12 @@ single-threaded run is the reproducibility reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError
-from .text import CLS, MASK, NUM_RESERVED, Vocab, pad_token_lists, tokenize
+from .text import MASK, NUM_RESERVED, Vocab, pad_token_lists, tokenize
 
 MASK_FRACTION_OF_MAX_LEN = 0.3125  # 80 masked out of a 256-token window
 MASK_ACTION_PROBS = (0.8, 0.1, 0.1)  # [MASK] token / random id / unchanged
@@ -41,7 +41,6 @@ class SentencePair:
     s1_tokens: list[int]
     s2_tokens: list[int]
     swapped: bool
-    language_tag: str = "base"
 
     def __post_init__(self):
         if not self.s1_tokens or not self.s2_tokens:
@@ -50,32 +49,30 @@ class SentencePair:
 
 @dataclass
 class MaskedPairBatch:
-    """Padded, masked batch ready for the conditional MLM objective."""
+    """Padded, masked batch ready for the conditional MLM objective. The
+    masked positions are flat, in example order and sorted within each
+    example, so clamped examples with fewer masks need no padding."""
 
-    s1_ids: np.ndarray          # [B, L1] int
+    s1_ids: np.ndarray          # [B, L1] int, no [CLS] (encode_and_pool adds it)
     s1_mask: np.ndarray         # [B, L1] float, 1 = real token
     s2_ids: np.ndarray          # [B, L2] int, corrupted
     s2_mask: np.ndarray         # [B, L2] float
-    mask_positions: list[np.ndarray] = field(default_factory=list)
-    mask_labels: list[np.ndarray] = field(default_factory=list)
+    mask_rows: np.ndarray       # [M] int64, example index
+    mask_cols: np.ndarray       # [M] int64, position in s2
+    mask_labels: np.ndarray     # [M] int64, original token id
 
     @property
     def batch_size(self) -> int:
         return self.s1_ids.shape[0]
 
-    @property
-    def total_masked(self) -> int:
-        return int(sum(len(p) for p in self.mask_positions))
-
 
 def make_pairs(sentences: list[str], vocab: Vocab, rng: np.random.Generator,
-               max_len: int, language_tag: str = "base",
-               add_cls: bool = False) -> list[SentencePair]:
+               max_len: int) -> list[SentencePair]:
     """One pair per adjacent sentence couple, each swapped with probability 0.5.
 
     Token lists are truncated to ``max_len`` per side. A single-sentence
-    document yields an empty list. ``add_cls`` prepends [CLS] to the
-    conditioning side (used when pooling reads position 0).
+    document yields an empty list. No side gets a [CLS]: ``encode_and_pool``
+    adds it to whatever it pools.
     """
     if len(sentences) < 2:
         return []
@@ -86,9 +83,7 @@ def make_pairs(sentences: list[str], vocab: Vocab, rng: np.random.Generator,
             raise DataError("document contains a sentence that tokenizes to nothing")
         swapped = bool(rng.random() < 0.5)
         s1, s2 = (right, left) if swapped else (left, right)
-        if add_cls:
-            s1 = ([CLS] + s1)[:max_len]
-        pairs.append(SentencePair(list(s1), list(s2), swapped, language_tag))
+        pairs.append(SentencePair(list(s1), list(s2), swapped))
     return pairs
 
 
@@ -129,15 +124,11 @@ def make_batch(pairs: list[SentencePair], vocab: Vocab, num_mask: int,
     if not pairs:
         raise DataError("cannot build a batch from an empty pair list")
 
-    corrupted_rows: list[list[int]] = []
-    positions: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for pair in pairs:
-        corrupted, pos, lab = mask_tokens(pair.s2_tokens, num_mask, vocab, rng)
-        corrupted_rows.append(corrupted)
-        positions.append(pos)
-        labels.append(lab)
-
+    corrupted, positions, labels = zip(*(
+        mask_tokens(pair.s2_tokens, num_mask, vocab, rng) for pair in pairs))
+    rows = np.repeat(np.arange(len(pairs), dtype=np.int64),
+                     [len(p) for p in positions])
     s1_ids, s1_mask = pad_token_lists([p.s1_tokens for p in pairs])
-    s2_ids, s2_mask = pad_token_lists(corrupted_rows)
-    return MaskedPairBatch(s1_ids, s1_mask, s2_ids, s2_mask, positions, labels)
+    s2_ids, s2_mask = pad_token_lists(corrupted)
+    return MaskedPairBatch(s1_ids, s1_mask, s2_ids, s2_mask, rows,
+                           np.concatenate(positions), np.concatenate(labels))

@@ -235,6 +235,14 @@ def project(v: Tensor, params: dict[str, Tensor],
 def encode_and_pool(ids: np.ndarray, mask: np.ndarray,
                     params: dict[str, Tensor], config: EncoderConfig,
                     dropout_rng: np.random.Generator | None = None) -> Tensor:
+    """Pooled vectors [B, d] of a padded batch. Every pooled sentence (CMLM
+    conditioning side, bitext and NLI pairs, ``embed_texts``) passes here,
+    the one place that puts [CLS] first under ``cls`` pooling."""
+    if config.pooling == "cls":
+        column = np.full((len(ids), 1), CLS)
+        ids = np.concatenate([column, ids], axis=1)[:, :config.max_len]
+        mask = np.concatenate([np.ones_like(column, mask.dtype), mask],
+                              axis=1)[:, :config.max_len]
     seq = encode(ids, mask, params, config, dropout_rng=dropout_rng)
     return pool(seq, mask, config.pooling)
 
@@ -255,8 +263,6 @@ def embed_texts(texts: list[str], params: dict[str, Tensor],
         token_lists = []
         for text in chunk:
             ids = tokenize(text, vocab)[:config.max_len]
-            if config.pooling == "cls":
-                ids = ([CLS] + ids)[:config.max_len]
             if not ids:
                 raise DataError(f"text tokenizes to nothing: {text!r}")
             token_lists.append(ids)
@@ -271,6 +277,4 @@ def embed_texts(texts: list[str], params: dict[str, Tensor],
 def embed_sentence(text: str, params: dict[str, Tensor], config: EncoderConfig,
                    vocab: Vocab, representation: str = "pooled") -> np.ndarray:
     """Single-sentence convenience wrapper around ``embed_texts``."""
-    if not text.strip():
-        raise DataError("cannot embed empty text")
     return embed_texts([text], params, config, vocab, representation)[0]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -43,6 +43,11 @@ CHECKPOINT_VERSION = 2
 
 STRATEGIES = ("cmlm_only", "s1", "s2", "s3")
 _RNG_STREAMS = ("sample", "mask", "dropout", "bitext", "nli")
+# the least value a plan setting may take; the stage step counts are checked
+# per strategy
+_PLAN_FLOORS = {"alpha": 0, "margin": 0, "batch_size": 1, "log_every": 1,
+                "checkpoint_every": 1, "num_mask": 0, "nli_steps": 0,
+                "learning_rate": 0, "warmup_steps": 0}
 
 
 @dataclass
@@ -77,13 +82,10 @@ class TrainPlan:
         if self.strategy not in STRATEGIES:
             raise ContractError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.alpha < 0:
-            raise ContractError("alpha must be non-negative")
-        if self.margin < 0:
-            raise ContractError(f"margin must be >= 0, got {self.margin}")
-        for name in ("batch_size", "log_every", "checkpoint_every"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, floor in _PLAN_FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ContractError(
+                    f"{name} must be >= {floor}, got {getattr(self, name)}")
         if self.strategy in ("cmlm_only", "s1"):
             if self.stage2_steps:
                 raise ContractError(
@@ -244,9 +246,10 @@ def load_checkpoint(path: str) -> CheckpointBundle:
 
 _MANIFEST_TYPES = {"config": dict, "step": int, "strategy": str, "vocab": list,
                    "optimizer": dict, "rngs": dict}
-_OPTIMIZER_TYPES = {"kind": str, "learning_rate": float, "beta1": float,
-                    "beta2": float, "eps": float, "weight_decay": float,
-                    "warmup_steps": int, "total_steps": int, "step": int}
+# the optimizer's scalar settings; its moments are tensor sections
+_OPTIMIZER_HINTS = get_type_hints(OptimizerState)
+_OPTIMIZER_TYPES = {f.name: _OPTIMIZER_HINTS[f.name] for f in fields(OptimizerState)
+                    if _OPTIMIZER_HINTS[f.name] in (str, int, float)}
 
 
 def _check_section(section: dict, types: dict[str, type], where: str) -> None:
@@ -355,34 +358,33 @@ class _Run:
         self.rngs = {name: np.random.default_rng(children[2 + i])
                      for i, name in enumerate(_RNG_STREAMS)}
 
-        add_cls = self.config.pooling == "cls"
         self.pairs = []
-        for tag, sentences in self.docs:
+        for _, sentences in self.docs:
             self.pairs.extend(make_pairs(sentences, self.vocab, pool_rng,
-                                         self.config.max_len, language_tag=tag,
-                                         add_cls=add_cls))
+                                         self.config.max_len))
         if not self.pairs:
             raise DataError("corpus yielded no adjacent sentence pairs")
 
         self.bitext: list[tuple[list[int], list[int]]] = []
         if plan.needs_bitext():
-            for src, tgt, _, _ in load_bitext(plan.bitext_path):
-                s = tokenize(src, self.vocab)[:self.config.max_len]
-                t = tokenize(tgt, self.vocab)[:self.config.max_len]
-                if s and t:
-                    self.bitext.append((s, t))
+            self.bitext = self._token_pairs(
+                (src, tgt) for src, tgt, _, _ in load_bitext(plan.bitext_path))
             if len(self.bitext) < 2:
                 raise DataError("bitext file yielded fewer than 2 usable pairs")
 
         self.nli: list[tuple[list[int], list[int], int]] = []
         if plan.nli_steps > 0:
-            for premise, hypo, label in load_nli(plan.nli_path):
-                p = tokenize(premise, self.vocab)[:self.config.max_len]
-                h = tokenize(hypo, self.vocab)[:self.config.max_len]
-                if p and h:
-                    self.nli.append((p, h, label))
+            self.nli = self._token_pairs(load_nli(plan.nli_path))
             if not self.nli:
                 raise DataError("NLI file yielded no usable rows")
+
+    def _token_pairs(self, rows) -> list[tuple]:
+        """Each (left, right, *rest) row with both sides tokenized and cut to
+        ``max_len``, skipping a row with a side that tokenizes to nothing."""
+        n = self.config.max_len
+        rows = [(tokenize(left, self.vocab)[:n], tokenize(right, self.vocab)[:n],
+                 *rest) for left, right, *rest in rows]
+        return [row for row in rows if row[0] and row[1]]
 
     # batch builders -------------------------------------------------------
 
@@ -394,27 +396,20 @@ class _Run:
                                        replace=len(pool) < size)
         return [pool[i] for i in idx]
 
-    def _pooled(self, token_lists, dropout_rng) -> Tensor:
-        ids, mask = pad_token_lists(token_lists)
-        return encode_and_pool(ids, mask, self.params, self.config,
-                               dropout_rng=dropout_rng)
-
     def _draw_cmlm_batch(self):
         return make_batch(self._sample("sample", self.pairs), self.vocab,
                           self.num_mask, self.rngs["mask"])
 
-    def _draw_bitext_vectors(self, dropout_rng):
-        rows = self._sample("bitext", self.bitext)
-        src = self._pooled([s for s, _ in rows], dropout_rng)
-        tgt = self._pooled([t for _, t in rows], dropout_rng)
-        return src, tgt
-
-    def _draw_nli_batch(self, dropout_rng):
-        rows = self._sample("nli", self.nli)
-        premise = self._pooled([p for p, _, _ in rows], dropout_rng)
-        hypothesis = self._pooled([h for _, h, _ in rows], dropout_rng)
-        labels = np.array([label for _, _, label in rows], dtype=np.int64)
-        return NLIBatch(premise, hypothesis, labels)
+    def _draw_pairs(self, stream: str, rows: list,
+                    dropout_rng) -> tuple[list, Tensor, Tensor]:
+        """(drawn rows, pooled left sides, pooled right sides) of a batch of
+        ``rows`` drawn on the named stream; the left sides encode first."""
+        drawn = self._sample(stream, rows)
+        left, right = [
+            encode_and_pool(*pad_token_lists([row[side] for row in drawn]),
+                            self.params, self.config, dropout_rng=dropout_rng)
+            for side in (0, 1)]
+        return drawn, left, right
 
     # single step ----------------------------------------------------------
 
@@ -431,7 +426,8 @@ class _Run:
                                       dropout_rng=dropout_rng)
                 record.update(cmlm_loss=loss.item(), masked_acc=acc)
             if kind in ("br", "joint"):
-                src, tgt = self._draw_bitext_vectors(dropout_rng)
+                _, src, tgt = self._draw_pairs("bitext", self.bitext,
+                                               dropout_rng)
                 l_br = bitext_loss(BitextBatch(src, tgt, plan.margin))
                 record.update(br_loss=l_br.item(),
                               retrieval_acc=in_batch_retrieval_accuracy(
@@ -439,7 +435,10 @@ class _Run:
                 loss = (combined_loss(loss, l_br, plan.alpha)
                         if kind == "joint" else l_br)
             if kind == "nli":
-                loss, acc = nli_loss(self._draw_nli_batch(dropout_rng),
+                rows, premise, hypothesis = self._draw_pairs("nli", self.nli,
+                                                             dropout_rng)
+                labels = np.array([label for _, _, label in rows], dtype=np.int64)
+                loss, acc = nli_loss(NLIBatch(premise, hypothesis, labels),
                                      self.params)
                 record.update(nli_loss=loss.item(), nli_acc=acc)
             grads = tape.gradients(loss, self.params)
@@ -556,9 +555,9 @@ def _check_resume_schedule(bundle: CheckpointBundle, strategy: str,
     saved = bundle.opt_state
     pairs = {"strategy": (bundle.strategy, strategy),
              "optimizer": (saved.kind, planned.kind)}
-    for key in ("learning_rate", "beta1", "beta2", "eps", "weight_decay",
-                "warmup_steps", "total_steps"):
-        pairs[key] = (getattr(saved, key), getattr(planned, key))
+    for key in _OPTIMIZER_TYPES:
+        if key not in ("kind", "step"):  # kind is "optimizer"; step is progress
+            pairs[key] = (getattr(saved, key), getattr(planned, key))
     for key, (found, expected) in pairs.items():
         if found != expected:
             raise ConfigMismatchError(

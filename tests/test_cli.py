@@ -141,6 +141,10 @@ class TestExitCodes:
          "margin"),
         ("", ["--strategy", "s2", "--stage2-steps", "3", "--batch-size", "1"],
          "batch_size"),
+        ("", ["--mask-count", "-1"], "num_mask"),
+        ("", ["--nli-steps", "-5"], "nli_steps"),
+        ("", ["--learning-rate", "-1"], "learning_rate"),
+        ("", ["--warmup-steps", "-4"], "warmup_steps"),
     ])
     def test_plan_value_below_its_floor_is_refused_before_training(
             self, synth_dir, tmp_path, capsys, line, flags, named):

@@ -6,7 +6,7 @@ from cmlmkit.errors import ContractError
 from cmlmkit.losses import (BitextBatch, NLIBatch, bitext_loss,
                             bitext_loss_from_scores, cmlm_loss, combined_loss,
                             in_batch_retrieval_accuracy, nli_features, nli_loss)
-from cmlmkit.masking import make_batch, make_pairs
+from cmlmkit.masking import MaskedPairBatch, make_batch, make_pairs
 from cmlmkit.model import EncoderConfig, init_params
 from cmlmkit.text import build_vocab
 
@@ -43,7 +43,7 @@ class TestCmlmLoss:
         batch = make_batch(pairs, vocab, num_mask=2, rng=rng)
         _, acc = cmlm_loss(batch, params, config)
         v = vocab.size
-        sigma = np.sqrt((1 / v) * (1 - 1 / v) / batch.total_masked)
+        sigma = np.sqrt((1 / v) * (1 - 1 / v) / batch.mask_labels.size)
         assert abs(acc - 1 / v) < 6 * sigma + 0.01
 
     def test_zeroed_prefix_equals_unconditioned(self, monkeypatch):
@@ -80,10 +80,47 @@ class TestCmlmLoss:
         rng = np.random.default_rng(6)
         pairs = make_pairs(["alpha beta", "gamma delta"], vocab, rng, max_len=8)
         batch = make_batch(pairs, vocab, num_mask=1, rng=rng)
-        batch.mask_positions = [np.array([], dtype=np.int64)] * batch.batch_size
-        batch.mask_labels = [np.array([], dtype=np.int64)] * batch.batch_size
+        batch.mask_rows = np.array([], dtype=np.int64)
+        batch.mask_cols = np.array([], dtype=np.int64)
+        batch.mask_labels = np.array([], dtype=np.int64)
         with pytest.raises(ContractError):
             cmlm_loss(batch, params, config)
+
+    @pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
+    @pytest.mark.parametrize("variant", ["standard", "skip", "unconditioned"])
+    def test_ragged_batch_is_the_count_weighted_mean_of_its_examples(
+            self, variant, pooling):
+        # float64, so padding and the flat mask layout must agree with
+        # single-example batches to rounding; the budget of 4 clamps the
+        # short sentences, so examples mask 1 to 4 positions
+        words = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
+        vocab = build_vocab([words], target_size=64)
+        config = EncoderConfig(vocab_size=vocab.size, layers=2, heads=2,
+                               hidden=8, ff=16, max_len=6, n_projections=3,
+                               pooling=pooling, dropout=0.0)
+        params = init_params(config, np.random.default_rng(9), dtype=np.float64)
+        rng = np.random.default_rng(10)
+        sentences = ["alpha", "beta gamma delta epsilon zeta eta theta",
+                     "iota kappa", "alpha beta gamma", "delta"]
+        batch = make_batch(make_pairs(sentences, vocab, rng, max_len=6), vocab,
+                           num_mask=4, rng=rng)
+        counts = np.bincount(batch.mask_rows, minlength=batch.batch_size)
+        assert len(set(counts.tolist())) > 1
+
+        singles = []
+        for i in range(batch.batch_size):
+            n1, n2 = int(batch.s1_mask[i].sum()), int(batch.s2_mask[i].sum())
+            own = batch.mask_rows == i
+            single = MaskedPairBatch(
+                batch.s1_ids[i:i + 1, :n1], batch.s1_mask[i:i + 1, :n1],
+                batch.s2_ids[i:i + 1, :n2], batch.s2_mask[i:i + 1, :n2],
+                np.zeros(counts[i], dtype=np.int64), batch.mask_cols[own],
+                batch.mask_labels[own])
+            singles.append(cmlm_loss(single, params, config, variant)[0].item())
+        whole, _ = cmlm_loss(batch, params, config, variant)
+        np.testing.assert_allclose(whole.item(),
+                                   np.dot(counts, singles) / counts.sum(),
+                                   rtol=1e-12, atol=0)
 
     def test_loss_non_negative(self):
         vocab, config, params = make_setup(seed=8)

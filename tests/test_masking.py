@@ -5,7 +5,7 @@ from cmlmkit.errors import ContractError, DataError
 from cmlmkit.masking import (default_num_mask, make_batch, make_pairs,
                              mask_clamp_count, mask_tokens,
                              reset_mask_clamp_count)
-from cmlmkit.text import CLS, MASK, NUM_RESERVED, build_vocab
+from cmlmkit.text import MASK, NUM_RESERVED, build_vocab
 
 
 @pytest.fixture
@@ -47,12 +47,6 @@ class TestMakePairs:
         pairs = make_pairs([long, long], vocab, rng, max_len=8)
         assert len(pairs[0].s1_tokens) == 8
         assert len(pairs[0].s2_tokens) == 8
-
-    def test_cls_prepended_on_request(self, vocab):
-        rng = np.random.default_rng(2)
-        pairs = make_pairs(["alpha", "beta"], vocab, rng, max_len=8, add_cls=True)
-        assert pairs[0].s1_tokens[0] == CLS
-        assert pairs[0].s2_tokens[0] != CLS
 
 
 class TestMaskTokens:
@@ -138,8 +132,8 @@ class TestMakeBatch:
 
         a, b = build(), build()
         np.testing.assert_array_equal(a.s2_ids, b.s2_ids)
-        for pa, pb in zip(a.mask_positions, b.mask_positions):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.mask_rows, b.mask_rows)
+        np.testing.assert_array_equal(a.mask_cols, b.mask_cols)
 
     def test_unmasking_round_trip(self, vocab):
         # restoring labels at mask positions reproduces the original s2
@@ -151,10 +145,10 @@ class TestMakeBatch:
             pairs = make_pairs(sentences, vocab, rng, max_len=8)
             originals = [list(p.s2_tokens) for p in pairs]
             batch = make_batch(pairs, vocab, num_mask=2, rng=rng)
+            restored = batch.s2_ids.copy()
+            restored[batch.mask_rows, batch.mask_cols] = batch.mask_labels
             for i, original in enumerate(originals):
-                restored = batch.s2_ids[i, :len(original)].copy()
-                restored[batch.mask_positions[i]] = batch.mask_labels[i]
-                assert restored.tolist() == original
+                assert restored[i, :len(original)].tolist() == original
 
     def test_no_mask_position_points_at_padding(self, vocab):
         rng = np.random.default_rng(11)
@@ -165,9 +159,28 @@ class TestMakeBatch:
                          for _ in range(n_sent)]
             pairs = make_pairs(sentences, vocab, rng, max_len=8)
             batch = make_batch(pairs, vocab, num_mask=3, rng=rng)
-            for i in range(batch.batch_size):
-                for pos in batch.mask_positions[i]:
-                    assert batch.s2_mask[i, pos] == 1.0
+            assert np.all(batch.s2_mask[batch.mask_rows, batch.mask_cols] == 1.0)
+
+    def test_flat_mask_layout(self, vocab):
+        # one entry per masked position: example order, then sorted positions,
+        # with a clamped (shorter) example masking fewer positions
+        rng = np.random.default_rng(12)
+        pairs = make_pairs(["alpha beta gamma delta epsilon", "zeta", "eta theta"],
+                           vocab, rng, max_len=8)
+        reset_mask_clamp_count()
+        batch = make_batch(pairs, vocab, num_mask=3, rng=rng)
+        assert mask_clamp_count() > 0
+        reset_mask_clamp_count()
+        counts = [min(3, len(p.s2_tokens)) for p in pairs]
+        assert batch.mask_rows.tolist() == [i for i, c in enumerate(counts)
+                                            for _ in range(c)]
+        for arr in (batch.mask_rows, batch.mask_cols, batch.mask_labels):
+            assert arr.dtype == np.int64 and arr.shape == (sum(counts),)
+        for i, pair in enumerate(pairs):
+            cols = batch.mask_cols[batch.mask_rows == i]
+            assert np.all(np.diff(cols) > 0)
+            assert batch.mask_labels[batch.mask_rows == i].tolist() == \
+                [pair.s2_tokens[c] for c in cols]
 
     def test_empty_pairs_rejected(self, vocab):
         with pytest.raises(DataError):

@@ -7,7 +7,7 @@ from cmlmkit.errors import ContractError, DataError, DimensionError
 from cmlmkit.masking import make_batch, make_pairs
 from cmlmkit.model import (EncoderConfig, embed_sentence, embed_texts, encode,
                            encode_and_pool, init_params, pool, project)
-from cmlmkit.text import build_vocab
+from cmlmkit.text import CLS, build_vocab
 
 
 def tiny_config(vocab_size=32, **overrides):
@@ -125,6 +125,33 @@ class TestPool:
             pool(seq, np.zeros((1, 2)), "mean")
 
 
+class TestEncodeAndPool:
+    def test_cls_pooling_reads_a_prepended_cls(self, setup):
+        # a [CLS] column goes first and rows are cut back to max_len; the
+        # pooled vector is the encoder output at that column
+        vocab, _, params = setup
+        config = tiny_config(vocab.size, pooling="cls", max_len=4)
+        ids = np.array([[5, 6, 7, 8], [9, 10, 0, 0]])
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float32)
+        got = encode_and_pool(ids, mask, params, config).data
+        with_cls = np.array([[CLS, 5, 6, 7], [CLS, 9, 10, 0]])
+        cls_mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float32)
+        want = encode(with_cls, cls_mask, params, config).data[:, 0]
+        np.testing.assert_array_equal(got, want)
+        plain = encode(ids, mask, params, config).data[:, 0]
+        assert not np.allclose(got, plain)
+
+    def test_other_poolings_add_no_cls(self, setup):
+        vocab, config, params = setup
+        ids = np.array([[5, 6, 7], [9, 10, 0]])
+        mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float32)
+        for kind in ("mean", "max"):
+            config = tiny_config(vocab.size, pooling=kind)
+            got = encode_and_pool(ids, mask, params, config).data
+            want = pool(encode(ids, mask, params, config), mask, kind).data
+            np.testing.assert_array_equal(got, want)
+
+
 class TestProject:
     def test_identity_only_when_n_is_one(self):
         config = tiny_config(vocab_size=32, n_projections=1)
@@ -182,6 +209,14 @@ class TestEmbedSentence:
         vocab, config, params = setup
         with pytest.raises(DataError):
             embed_sentence("   ", params, config, vocab)
+
+    @pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
+    def test_whitespace_text_rejected_under_every_pooling(self, setup, pooling):
+        # [CLS] is not a token of the text, so it cannot make one embeddable
+        vocab, _, params = setup
+        config = tiny_config(vocab.size, pooling=pooling)
+        with pytest.raises(DataError, match="tokenizes to nothing"):
+            embed_texts(["alpha", " \t "], params, config, vocab)
 
     def test_empty_list_rejected(self, setup):
         vocab, config, params = setup

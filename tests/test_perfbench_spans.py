@@ -5,7 +5,10 @@ benchmark runs. Installing and uninstalling it here catches that."""
 import importlib.util
 import os
 
-from cmlmkit import autodiff, training
+import numpy as np
+
+from cmlmkit import autodiff, model, training
+from cmlmkit.text import build_vocab
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -46,3 +49,22 @@ def test_tracer_wraps_every_named_function_and_restores_the_originals():
     after = bindings(spans)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tracer_counts_each_embedding_batch():
+    # model.embed_batch_ms divides by this count, so it reads 0 unless
+    # embed_texts calls encode_and_pool itself, once per batch
+    spans = load_spans()
+    vocab = build_vocab(["alpha beta gamma"], target_size=16)
+    config = model.EncoderConfig(vocab_size=vocab.size, layers=1, heads=2,
+                                 hidden=8, ff=16, max_len=8, n_projections=1,
+                                 dropout=0.0)
+    params = model.init_params(config, np.random.default_rng(0))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        model.embed_texts(["alpha beta", "gamma", "beta"] * 2, params, config, vocab,
+                    batch_size=2)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["model.embed_batches"] == 3

@@ -98,6 +98,11 @@ class TestPlanValidation:
         (dict(strategy="s1", batch_size=1), "batch_size"),
         (dict(strategy="s2", stage1_steps=5, stage2_steps=3, batch_size=1),
          "batch_size"),
+        (dict(num_mask=-1), "num_mask"),
+        (dict(nli_steps=-5), "nli_steps"),
+        (dict(learning_rate=-1.0), "learning_rate"),
+        (dict(warmup_steps=-4), "warmup_steps"),
+        (dict(alpha=-0.1), "alpha"),
     ])
     def test_value_below_its_floor_is_refused(self, setting, named):
         with pytest.raises(ContractError, match=f"^{named} must be >= "):
@@ -482,6 +487,27 @@ class TestResumeAndDivergence:
         assert err.value.last_checkpoint == ckpt
         assert load_checkpoint(ckpt).step == 5
 
+    @pytest.mark.parametrize("stream", ["bitext", "nli"])
+    def test_cls_pair_vectors_equal_embed_texts(self, data_dir, stream):
+        # both sides of a drawn pair pool [CLS], as embed_texts does
+        from cmlmkit.model import embed_texts
+
+        config = replace(tiny_config(), pooling="cls", dropout=0.0)
+        plan = tiny_plan(data_dir, "", strategy="s2", stage1_steps=1,
+                         stage2_steps=1, nli_steps=1)
+        run = training._Run(config, plan)
+        run.params = init_params(run.config, np.random.default_rng(2))
+        texts = ([(s, t) for s, t, _, _ in load_bitext(plan.bitext_path)]
+                 if stream == "bitext" else
+                 [(p, h) for p, h, _ in load_nli(plan.nli_path)])
+        # each row carries its two texts after its two token lists
+        rows = run._token_pairs((a, b, a, b) for a, b in texts)
+        drawn, left, right = run._draw_pairs(stream, rows, None)
+        for side, vectors in ((2, left), (3, right)):
+            want = embed_texts([row[side] for row in drawn], run.params,
+                               run.config, run.vocab)
+            np.testing.assert_allclose(vectors.data, want, rtol=1e-5)
+
     def test_joint_gradient_is_weighted_sum_of_task_gradients(self, data_dir):
         # one manual joint step decomposed with frozen RNG streams
         from cmlmkit.autodiff import GradientTape
@@ -502,7 +528,7 @@ class TestResumeAndDivergence:
         batch = run._draw_cmlm_batch()
         with GradientTape() as tape:
             l_cmlm, _ = cmlm_loss(batch, run.params, run.config)
-            src, tgt = run._draw_bitext_vectors(None)
+            _, src, tgt = run._draw_pairs("bitext", run.bitext, None)
             l_br = bitext_loss(BitextBatch(src, tgt, plan.margin))
             combo = combined_loss(l_cmlm, l_br, alpha)
         g_combo = tape.gradients(combo, run.params)
@@ -513,7 +539,7 @@ class TestResumeAndDivergence:
             l1, _ = cmlm_loss(batch, run.params, run.config)
         g1 = tape1.gradients(l1, run.params)
         with GradientTape() as tape2:
-            src, tgt = run._draw_bitext_vectors(None)
+            _, src, tgt = run._draw_pairs("bitext", run.bitext, None)
             l2 = bitext_loss(BitextBatch(src, tgt, plan.margin))
         g2 = tape2.gradients(l2, run.params)
 
