@@ -602,37 +602,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
                    heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention on [B, T, d] tensors.
+    """Multi-head scaled dot-product attention of queries [B, Tq, d] over
+    keys and values [B, Tk, d]; the output is [B, Tq, d].
 
     Splits ``heads`` heads, scores ``q kᵀ / sqrt(d / heads)`` plus the
-    constant ``mask_bias`` (broadcast to [B, heads, T, T], query by key),
-    takes the softmax over keys, weights ``v`` and merges the heads back to
-    [B, T, d], all in one op. The scores are held key-major, [B, heads, key,
-    query], so the softmax reduces over axis -2, which numpy vectorizes
-    along the contiguous query axis. The scale is folded into ``q`` before
-    the product. The backward keeps the probabilities and, of the split
-    operands, only those its gradients read.
+    constant ``mask_bias`` (broadcast to [B, heads, Tq, Tk], query by key),
+    takes the softmax over keys, weights ``v`` and merges the heads back, all
+    in one op. The scores are held key-major, [B, heads, key, query], so the
+    softmax reduces over axis -2, which numpy vectorizes along the contiguous
+    query axis. The scale is folded into ``q`` before the product. The
+    backward keeps the probabilities and, of the split operands, only those
+    its gradients read.
     """
-    shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+    q_shape, kv_shape = q.data.shape, k.data.shape
+    if (len(q_shape) != 3 or len(kv_shape) != 3 or v.data.shape != kv_shape
+            or q_shape[0] != kv_shape[0] or q_shape[2] != kv_shape[2]):
         raise DimensionError(
-            f"attention_core needs equal [B, T, d] q, k and v, got "
-            f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
-    bsz, t, d = shape
+            f"attention_core needs [B, Tq, d] q and equal [B, Tk, d] k and v, "
+            f"got {q_shape}, {kv_shape} and {v.data.shape}")
+    bsz, tq, d = q_shape
+    tk = kv_shape[1]
     if heads < 1 or d % heads:
         raise DimensionError(f"width {d} does not split into {heads} heads")
     dh = d // heads
     scale = q.data.dtype.type(1.0 / np.sqrt(dh))
 
     def split(m):  # [B, T, d] -> [B, h, T, dh]
-        return m.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+        return m.reshape(bsz, m.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
     def merge(m):  # [B, h, T, dh] -> [B, T, d]
-        return m.transpose(0, 2, 1, 3).reshape(shape)
+        return m.transpose(0, 2, 1, 3).reshape(bsz, m.shape[2], d)
 
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
     probs = kh @ qh.transpose(0, 1, 3, 2)  # [B, h, key, query]
-    probs += np.broadcast_to(mask_bias, (bsz, heads, t, t)).transpose(0, 1, 3, 2)
+    probs += np.broadcast_to(mask_bias, (bsz, heads, tq, tk)).transpose(0, 1, 3, 2)
     probs -= probs.max(axis=-2, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-2, keepdims=True)

@@ -70,6 +70,10 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
               ) -> tuple[Tensor, float]:
     """Mean cross-entropy over all masked positions, plus masked accuracy.
 
+    The denoising pass runs its last encoder layer only at the masked
+    positions (``encode``'s ``last_rows``); the loss is the one the full
+    sequence output gives at those rows.
+
     ``standard`` conditions the denoiser on a prefix of the projected views
     ([B, n_projections, hidden]) of the neighboring sentence; ``skip``
     additionally concatenates each masked position's output with the mean
@@ -94,12 +98,21 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
                             dropout_rng=dropout_rng)
         prefix = project(v, params, config)
 
-    seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix,
-                 dropout_rng=dropout_rng)
-    # row of each masked position in the flattened [B * (N + L2), d] outputs
-    flat_rows = batch.mask_rows * seq.data.shape[1] + n + batch.mask_cols
+    # slot of each masked position among its example's masked positions;
+    # an example with fewer than the most masks repeats row n in its unused
+    # slots, whose outputs are never gathered
+    rows = batch.mask_rows
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=b)
+    slot = np.empty_like(rows)
+    slot[order] = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows[order]]
+    m = int(counts.max())
+    last_rows = np.full((b, m), n, dtype=np.int64)
+    last_rows[rows, slot] = n + batch.mask_cols
 
-    hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), flat_rows)  # [M, d]
+    seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix,
+                 dropout_rng=dropout_rng, last_rows=last_rows)  # [B, m, d]
+    hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), rows * m + slot)  # [M, d]
     if variant == "skip":
         mean_view = ad.tmean(prefix, axis=1)  # [B, d]
         per_position = ad.gather_rows(mean_view, batch.mask_rows)

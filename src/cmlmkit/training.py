@@ -36,7 +36,8 @@ from .masking import default_num_mask, make_batch, make_pairs
 from .model import EncoderConfig, encode_and_pool, init_params, param_specs
 from .optim import OptimizerState, optimizer_step
 from .synth import NLI_LABEL_NAMES
-from .text import Vocab, build_vocab, pad_token_lists, read_lines, tokenize
+from .text import (Vocab, build_vocab, normalize, pad_token_lists, read_lines,
+                   tokenize)
 
 CHECKPOINT_MAGIC = b"CMLMCKPT"
 CHECKPOINT_VERSION = 2
@@ -157,11 +158,19 @@ def _tab_rows(path: str, what: str):
             yield i, line.split("\t")
 
 
+def _require_words(path: str, what: str, i: int, left: str, right: str) -> None:
+    """Refuse a pair with a side that tokenizes to nothing."""
+    if not normalize(left).split() or not normalize(right).split():
+        raise DataError(f"{what} file {path!r} line {i} has a sentence "
+                        f"with no word")
+
+
 def load_bitext(path: str) -> list[tuple[str, str, str, str]]:
     rows = []
     for i, parts in _tab_rows(path, "bitext"):
         if len(parts) != 4:
             raise DataError(f"bitext line {i} must have 4 tab-separated fields")
+        _require_words(path, "bitext", i, parts[0], parts[1])
         rows.append(tuple(parts))
     return rows
 
@@ -174,6 +183,7 @@ def load_nli(path: str) -> list[tuple[str, str, int]]:
             raise DataError(f"NLI line {i} needs premise, hypothesis, and label")
         if parts[2] not in label_ids:
             raise DataError(f"NLI line {i} has unknown label {parts[2]!r}")
+        _require_words(path, "NLI", i, parts[0], parts[1])
         rows.append((parts[0], parts[1], label_ids[parts[2]]))
     return rows
 
@@ -370,21 +380,18 @@ class _Run:
             self.bitext = self._token_pairs(
                 (src, tgt) for src, tgt, _, _ in load_bitext(plan.bitext_path))
             if len(self.bitext) < 2:
-                raise DataError("bitext file yielded fewer than 2 usable pairs")
+                raise DataError("bitext file holds fewer than 2 pairs")
 
         self.nli: list[tuple[list[int], list[int], int]] = []
         if plan.nli_steps > 0:
             self.nli = self._token_pairs(load_nli(plan.nli_path))
-            if not self.nli:
-                raise DataError("NLI file yielded no usable rows")
 
     def _token_pairs(self, rows) -> list[tuple]:
         """Each (left, right, *rest) row with both sides tokenized and cut to
-        ``max_len``, skipping a row with a side that tokenizes to nothing."""
+        ``max_len``; the loaders refuse a side with no word."""
         n = self.config.max_len
-        rows = [(tokenize(left, self.vocab)[:n], tokenize(right, self.vocab)[:n],
+        return [(tokenize(left, self.vocab)[:n], tokenize(right, self.vocab)[:n],
                  *rest) for left, right, *rest in rows]
-        return [row for row in rows if row[0] and row[1]]
 
     # batch builders -------------------------------------------------------
 

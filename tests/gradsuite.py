@@ -47,6 +47,8 @@ def op_cases(rng):
     att_q, att_k, att_v = (_rand(rng, (2, 4, 6)) for _ in range(3))
     att_mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
     att_bias = (1.0 - att_mask)[:, None, None, :] * -1e9
+    # two queries against the same four keys, as in a pruned last layer
+    att_q_short = _rand(rng, (2, 2, 6))
 
     def w(fn):
         return lambda x: _weighted_scalar(fn(x))
@@ -82,6 +84,12 @@ def op_cases(rng):
         ad.constant(att_q), x, ad.constant(att_v), att_bias, 2)), att_k
     yield "attention_v", w(lambda x: ad.attention_core(
         ad.constant(att_q), ad.constant(att_k), x, att_bias, 2)), att_v
+    yield "attention_q_short", w(lambda x: ad.attention_core(
+        x, ad.constant(att_k), ad.constant(att_v), att_bias, 2)), att_q_short
+    yield "attention_k_short", w(lambda x: ad.attention_core(
+        ad.constant(att_q_short), x, ad.constant(att_v), att_bias, 2)), att_k
+    yield "attention_v_short", w(lambda x: ad.attention_core(
+        ad.constant(att_q_short), ad.constant(att_k), x, att_bias, 2)), att_v
     yield "reshape", w(lambda x: ad.reshape(x, (r2[0] * r2[1],))), a
     yield "transpose", w(lambda x: ad.transpose(x, (1, 0))), a
     yield "concat", w(lambda x: ad.concat([x, ad.constant(b)], axis=1)), a

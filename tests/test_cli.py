@@ -510,6 +510,19 @@ class TestTextInputs:
         assert code == EXIT_DATA and "Traceback" not in err
         assert repr(str(gold)) in err and "'high'" in err
 
+    @pytest.mark.parametrize("kind", ["bitext", "nli"])
+    def test_pair_side_with_no_word_exits_2(self, kind, inputs, tmp_path,
+                                            capsys):
+        source, argv = inputs[kind]
+        lines = open(source, encoding="utf-8").read().split("\n")
+        lines[1] = "\t".join([" "] + lines[1].split("\t")[1:])
+        bad = tmp_path / f"blank-{kind}"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code, _, err = run_cli([str(bad) if arg == BAD else arg
+                                for arg in argv], capsys)
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert repr(str(bad)) in err and "line 2" in err
+
     @pytest.mark.parametrize("kind", ["gold", "embed"])
     def test_directory_as_text_input_exits_2(self, kind, inputs, tmp_path,
                                              capsys):

@@ -147,6 +147,12 @@ class TestAttentionCore:
             ad.attention_core(t, t, ad.Tensor(np.ones((2, 3, 4))), 0.0, 2)
         with pytest.raises(DimensionError):
             ad.attention_core(t, t, t, 0.0, 4)
+        with pytest.raises(DimensionError):  # q and k batch sizes differ
+            ad.attention_core(ad.Tensor(np.ones((3, 3, 6))), t, t, 0.0, 2)
+        with pytest.raises(DimensionError):  # q and k widths differ
+            ad.attention_core(ad.Tensor(np.ones((2, 3, 4))), t, t, 0.0, 2)
+        with pytest.raises(DimensionError):  # k and v lengths differ
+            ad.attention_core(t, t, ad.Tensor(np.ones((2, 4, 6))), 0.0, 2)
 
 
 # The formulas the in-place kernels replaced, kept as references. Each takes
@@ -184,15 +190,15 @@ def _layer_norm_reference(x, scale, bias, g, eps=ad.LAYER_NORM_EPS):
 def _attention_reference(q, k, v, mask_bias, heads, g):
     """Query-major scores, the scale applied to the scores, and the row dot
     of the softmax backward as a product and a sum."""
-    bsz, t, d = q.shape
+    bsz, _, d = q.shape
     dh = d // heads
     scale = q.dtype.type(1.0 / np.sqrt(dh))
 
     def split(m):
-        return m.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+        return m.reshape(bsz, -1, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(m):
-        return m.transpose(0, 2, 1, 3).reshape(q.shape)
+        return m.transpose(0, 2, 1, 3).reshape(bsz, -1, d)
 
     qh, kh, vh = split(q), split(k), split(v)
     probs = qh @ kh.transpose(0, 1, 3, 2)
@@ -236,10 +242,13 @@ class TestInPlaceKernels:
         _assert_matches(got, got_g,
                         *_layer_norm_reference(x, scale, bias, weights))
 
-    @pytest.mark.parametrize("heads,t", [(1, 5), (2, 5), (4, 5), (2, 1)])
-    def test_attention_core_equals_reference(self, heads, t):
+    @pytest.mark.parametrize("heads,t,tq", [(1, 5, 5), (2, 5, 5), (4, 5, 5),
+                                            (2, 1, 1), (2, 5, 2), (4, 5, 1)],
+                             ids=["1-5", "2-5", "4-5", "2-1", "2-5-q2", "4-5-q1"])
+    def test_attention_core_equals_reference(self, heads, t, tq):
         rng = np.random.default_rng(6)
-        q, k, v, weights = (_f32(rng, (3, t, 8)) for _ in range(4))
+        k, v = (_f32(rng, (3, t, 8)) for _ in range(2))
+        q, weights = (_f32(rng, (3, tq, 8)) for _ in range(2))
         mask = np.ones((3, t), np.float32)
         mask[0, 3:] = 0  # padded keys
         mask[2, 1:] = 0

@@ -7,7 +7,8 @@ from cmlmkit.losses import (BitextBatch, NLIBatch, bitext_loss,
                             bitext_loss_from_scores, cmlm_loss, combined_loss,
                             in_batch_retrieval_accuracy, nli_features, nli_loss)
 from cmlmkit.masking import MaskedPairBatch, make_batch, make_pairs
-from cmlmkit.model import EncoderConfig, init_params
+from cmlmkit.model import (EncoderConfig, encode, encode_and_pool,
+                           init_params, project)
 from cmlmkit.text import build_vocab
 
 
@@ -19,6 +20,46 @@ def make_setup(n_projections=3, seed=0):
                            dropout=0.0)
     params = init_params(config, np.random.default_rng(seed))
     return vocab, config, params
+
+
+def ragged_setup(pooling):
+    """A float64 model and a batch whose budget of 4 masks clamps the short
+    sentences, so its examples mask 1 to 4 positions."""
+    words = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
+    vocab = build_vocab([words], target_size=64)
+    config = EncoderConfig(vocab_size=vocab.size, layers=2, heads=2,
+                           hidden=8, ff=16, max_len=6, n_projections=3,
+                           pooling=pooling, dropout=0.0)
+    params = init_params(config, np.random.default_rng(9), dtype=np.float64)
+    rng = np.random.default_rng(10)
+    sentences = ["alpha", "beta gamma delta epsilon zeta eta theta",
+                 "iota kappa", "alpha beta gamma", "delta"]
+    batch = make_batch(make_pairs(sentences, vocab, rng, max_len=6), vocab,
+                       num_mask=4, rng=rng)
+    assert len(set(np.bincount(batch.mask_rows).tolist())) > 1
+    return config, params, batch
+
+
+def full_sequence_cmlm_loss(batch, params, config, variant):
+    """The CMLM loss read off the full ``encode`` output at the masked rows
+    ``mask_rows * (N + L2) + N + mask_cols``."""
+    b, n, d = batch.batch_size, config.n_projections, config.hidden
+    if variant == "unconditioned":
+        prefix = ad.constant(np.zeros((b, n, d), dtype=params["tok_emb"].dtype))
+    else:
+        prefix = project(encode_and_pool(batch.s1_ids, batch.s1_mask, params,
+                                         config), params, config)
+    seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix)
+    flat_rows = batch.mask_rows * seq.data.shape[1] + n + batch.mask_cols
+    hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), flat_rows)
+    if variant == "skip":
+        per_position = ad.gather_rows(ad.tmean(prefix, axis=1), batch.mask_rows)
+        hidden = ad.linear(ad.concat([hidden, per_position], axis=1),
+                           params["skip.w"], params["skip.b"])
+    logits = ad.linear(hidden, ad.transpose(params["tok_emb"], (1, 0)),
+                       params["mlm_bias"])
+    picked = ad.take_per_row(ad.log_softmax(logits), batch.mask_labels)
+    return ad.neg(ad.tmean(picked))
 
 
 class TestCmlmLoss:
@@ -91,21 +132,9 @@ class TestCmlmLoss:
     def test_ragged_batch_is_the_count_weighted_mean_of_its_examples(
             self, variant, pooling):
         # float64, so padding and the flat mask layout must agree with
-        # single-example batches to rounding; the budget of 4 clamps the
-        # short sentences, so examples mask 1 to 4 positions
-        words = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
-        vocab = build_vocab([words], target_size=64)
-        config = EncoderConfig(vocab_size=vocab.size, layers=2, heads=2,
-                               hidden=8, ff=16, max_len=6, n_projections=3,
-                               pooling=pooling, dropout=0.0)
-        params = init_params(config, np.random.default_rng(9), dtype=np.float64)
-        rng = np.random.default_rng(10)
-        sentences = ["alpha", "beta gamma delta epsilon zeta eta theta",
-                     "iota kappa", "alpha beta gamma", "delta"]
-        batch = make_batch(make_pairs(sentences, vocab, rng, max_len=6), vocab,
-                           num_mask=4, rng=rng)
+        # single-example batches to rounding
+        config, params, batch = ragged_setup(pooling)
         counts = np.bincount(batch.mask_rows, minlength=batch.batch_size)
-        assert len(set(counts.tolist())) > 1
 
         singles = []
         for i in range(batch.batch_size):
@@ -121,6 +150,24 @@ class TestCmlmLoss:
         np.testing.assert_allclose(whole.item(),
                                    np.dot(counts, singles) / counts.sum(),
                                    rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
+    @pytest.mark.parametrize("variant", ["standard", "skip", "unconditioned"])
+    def test_pruned_last_layer_equals_the_full_sequence_output(
+            self, variant, pooling):
+        # the last layer runs only at the masked rows; the reference runs
+        # it on every row and gathers the masked ones
+        config, params, batch = ragged_setup(pooling)
+        with ad.GradientTape() as tape:
+            pruned, _ = cmlm_loss(batch, params, config, variant)
+        got = tape.gradients(pruned, params)
+        with ad.GradientTape() as tape:
+            full = full_sequence_cmlm_loss(batch, params, config, variant)
+        want = tape.gradients(full, params)
+        assert pruned.item() == full.item()
+        for name in params:
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=1e-14, err_msg=name)
 
     def test_loss_non_negative(self):
         vocab, config, params = make_setup(seed=8)

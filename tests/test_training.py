@@ -148,6 +148,19 @@ class TestCorpusLoading:
         path.write_bytes((end.join(lines) + (end if final else "")).encode())
         assert loader(str(path)) == parsed
 
+    @pytest.mark.parametrize("loader, lines", [
+        (load_bitext, ["a b\tc d\tl0\tl1", " \tc d\tl0\tl1",
+                       "e f\t\tl0\tl1", "g h\ti j\tl0\tl1"]),
+        (load_nli, ["a b\tc d\tentailment", "a b\t \tneutral",
+                    "\tc d\tcontradiction"]),
+    ], ids=["bitext", "nli"])
+    def test_pair_side_with_no_word_is_refused(self, tmp_path, loader, lines):
+        path = tmp_path / "f.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            loader(str(path))
+        assert f"{path}' line 2 " in str(info.value)
+
 
 class TestCheckpointIO:
     def _roundtrip_setup(self, tmp_path):
