@@ -15,17 +15,19 @@ array) takes the dtype of the op's Tensor operand, so ``t * 0.5``,
 ``0.5 - t`` and ``np.float64(2) * t`` keep a float32 ``t`` in float32.
 Array operands keep numpy's own promotion rules.
 
-Three fused ops stand in for chains of the elementwise and linear-algebra
+Four fused ops stand in for chains of the elementwise and linear-algebra
 ops, to cut tape entries and temporaries: ``linear`` (``x @ w + b`` as one
 flat GEMM over the leading axes; ``matmul`` with a 2-d right operand
-delegates to it), ``attention_core`` (multi-head scaled dot-product
-attention with a constant mask bias, saving only the probabilities for the
-backward) and ``dropout`` (saving a bool mask).
+delegates to it), ``ffn`` (``linear``, ``gelu``, ``linear``, saving only
+gelu's input and recomputing its tanh and output in backward),
+``attention_core`` (multi-head scaled dot-product attention with a constant
+mask bias, saving only the probabilities for the backward) and ``dropout``
+(saving a bool mask).
 
 The backward rules of ``add``, ``sub``, ``mul``, ``div``, ``matmul``,
-``linear`` and ``attention_core`` return ``None`` for an input that does not
-require gradients, so constant operands (masks, scales, biases, frozen
-weights) cost no gradient work.
+``linear``, ``ffn`` and ``attention_core`` return ``None`` for an input that
+does not require gradients, so constant operands (masks, scales, biases,
+frozen weights) cost no gradient work.
 
 A tape keeps only what the backward pass reads. It refers to tensors by
 serial number, so it keeps no Tensor alive, and each backward rule holds
@@ -400,40 +402,61 @@ def relu(a: Tensor) -> Tensor:
     return apply_op("relu", np.maximum(a.data, 0), (a,), backward)
 
 
+# gelu's tanh approximation, as in the original BERT codebase:
+# gelu(x) = 0.5 x (1 + t), t = tanh(inner), inner = C (x + A x^3). The three
+# kernels below are its only formula; ``gelu`` and ``ffn`` both call them.
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    # tanh approximation, as in the original BERT codebase; saves only x and
-    # t = tanh(inner), and works in place on the arrays it allocates
-    x = a.data
-    t = x * x
-    t *= _GELU_C * _GELU_A
+def _gelu_tanh(x: np.ndarray, sq: np.ndarray, out=None) -> np.ndarray:
+    """t = tanh(inner) from ``x`` and ``sq = x * x``; ``out`` may be ``sq``."""
+    t = np.multiply(sq, _GELU_C * _GELU_A, out=out)
     t += _GELU_C
     t *= x  # inner = C * (x + A x^3)
-    np.tanh(t, out=t)
-    out_data = t + 1.0
-    out_data *= x
-    out_data *= 0.5
+    return np.tanh(t, out=t)
+
+
+def _gelu_value(x: np.ndarray) -> np.ndarray:
+    """gelu(x) in one new array."""
+    out = x * x
+    _gelu_tanh(x, out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
+
+
+def _gelu_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d gelu / dx, 1 + t), recomputed from gelu's input ``x`` alone, so
+    gelu(x) is 0.5 * x * (1 + t). Peaks at three arrays of ``x``'s shape."""
+    sq = x * x
+    t = _gelu_tanh(x, sq)
+    one_plus_t = t + 1.0
+    one_minus_t = np.subtract(1.0, t, out=t)
+    # d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) d_inner
+    #             = 0.5 (1 + t) (1 + x (1 - t) d_inner)
+    slope = np.multiply(sq, 3.0 * _GELU_C * _GELU_A, out=sq)
+    slope += _GELU_C  # d_inner = C * (1 + 3 A x^2)
+    slope *= x
+    slope *= one_minus_t
+    slope += 1.0
+    slope *= one_plus_t
+    slope *= 0.5
+    return slope, one_plus_t
+
+
+def gelu(a: Tensor) -> Tensor:
+    """gelu's tanh approximation; the backward keeps only the input and
+    recomputes the rest."""
+    x = a.data
 
     def backward(g):
-        # d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) d_inner
-        #             = 0.5 (1 + t) (1 + x (1 - t) d_inner)
-        gx = x * x
-        gx *= 3.0 * _GELU_C * _GELU_A
-        gx += _GELU_C  # d_inner = C * (1 + 3 A x^2)
-        gx *= x
-        s = 1.0 - t
-        gx *= s
-        gx += 1.0
-        np.add(t, 1.0, out=s)
-        gx *= s
-        gx *= 0.5
+        gx, _ = _gelu_slope(x)
         gx *= g
         return (gx,)
 
-    return apply_op("gelu", out_data, (a,), backward)
+    return apply_op("gelu", _gelu_value(x), (a,), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -598,6 +621,67 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op("linear", out2.reshape(out_shape), inputs, backward)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The feed-forward block ``linear(gelu(linear(x, w1, b1)), w2, b2)`` as
+    one op, equal to that composition bit for bit.
+
+    The backward keeps ``x`` flattened, the pre-activation ``x @ w1 + b1``
+    and the transposed weights, and recomputes gelu's tanh and output from
+    the pre-activation: one ``[..., ff]`` array where the composition kept
+    three (selective activation recomputation; Korthikanti et al., 2022,
+    arXiv 2205.05198). Outside a tape the pre-activation is freed before the
+    second GEMM.
+    """
+    x_shape = x.data.shape
+    if (w1.data.ndim != 2 or w2.data.ndim != 2 or len(x_shape) < 1
+            or x_shape[-1] != w1.data.shape[0]
+            or w2.data.shape[0] != w1.data.shape[1]
+            or b1.data.shape != (w1.data.shape[1],)
+            or b2.data.shape != (w2.data.shape[1],)):
+        raise DimensionError(
+            f"ffn needs [..., d], [d, ff], [ff], [ff, n] and [n], got {x_shape}, "
+            f"{w1.data.shape}, {b1.data.shape}, {w2.data.shape} and {b2.data.shape}")
+    rows = math.prod(x_shape[:-1])  # not -1: a width may be 0
+    n = w2.data.shape[1]
+    x2 = x.data.reshape(rows, w1.data.shape[0])
+    pre = x2 @ w1.data
+    pre += b1.data
+    act = _gelu_value(pre)
+    first_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
+    if active_tape() is None or not (first_grad or w2.requires_grad):
+        pre = None  # no rule will read it
+    out2 = act @ w2.data
+    del act
+    out2 += b2.data
+    w1_t = w1.data.T if x.requires_grad else None
+    x2_t = x2.T if w1.requires_grad else None
+    w2_t = w2.data.T if first_grad else None
+    b1_grad, w2_grad, b2_grad = b1.requires_grad, w2.requires_grad, b2.requires_grad
+
+    def backward(g):
+        g2 = g.reshape(rows, n)
+        gx = gw1 = gb1 = gw2 = None
+        if pre is not None:
+            slope, act = _gelu_slope(pre)
+            if w2_grad:
+                act *= pre  # 2 gelu(pre): the exact 0.5 goes on the [ff, n] product
+                gw2 = act.T @ g2
+                gw2 *= 0.5
+            del act
+            if w2_t is not None:
+                slope *= g2 @ w2_t  # now d loss / d pre
+                if w1_t is not None:
+                    gx = (slope @ w1_t).reshape(x_shape)
+                if x2_t is not None:
+                    gw1 = x2_t @ slope
+                if b1_grad:
+                    gb1 = slope.sum(axis=0)
+        return gx, gw1, gb1, gw2, (g2.sum(axis=0) if b2_grad else None)
+
+    return apply_op("ffn", out2.reshape(x_shape[:-1] + (n,)),
+                    (x, w1, b1, w2, b2), backward)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,

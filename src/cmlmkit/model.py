@@ -207,9 +207,8 @@ def encode(ids: np.ndarray, mask: np.ndarray, params: dict[str, Tensor],
         # longer made embed_texts 20-35% slower, its 64-sentence batches
         # taking ~440 minor page faults instead of ~10 (numpy 2.4, glibc)
         del rows
-        h = ad.gelu(ad.linear(x, params[f"layer{l}.ffn.w1"],
-                              params[f"layer{l}.ffn.b1"]))
-        ffn = ad.linear(h, params[f"layer{l}.ffn.w2"], params[f"layer{l}.ffn.b2"])
+        ffn = ad.ffn(x, params[f"layer{l}.ffn.w1"], params[f"layer{l}.ffn.b1"],
+                     params[f"layer{l}.ffn.w2"], params[f"layer{l}.ffn.b2"])
         x = ad.layer_norm(ad.add(x, _dropout(ffn, config.dropout, dropout_rng)),
                           params[f"layer{l}.ln2.scale"],
                           params[f"layer{l}.ln2.bias"])

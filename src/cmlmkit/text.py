@@ -142,10 +142,18 @@ def build_vocab(lines, target_size: int) -> Vocab:
 
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
-    """Lowercase, split on whitespace, encode each word. Total function."""
+    """Lowercase, split on whitespace, encode each word. Total function.
+
+    A whole-word hit is looked up inline; only a miss goes through
+    ``encode_word``, which gives the same ids either way."""
     ids: list[int] = []
+    lookup = vocab._ids.get
     for word in normalize(text).split():
-        ids.extend(vocab.encode_word(word))
+        whole = lookup(word)
+        if whole is not None and whole >= NUM_RESERVED:
+            ids.append(whole)
+        else:
+            ids.extend(vocab.encode_word(word))
     return ids
 
 

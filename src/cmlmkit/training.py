@@ -161,15 +161,18 @@ def _tab_rows(path: str, what: str):
 def _require_words(path: str, what: str, i: int, left: str, right: str) -> None:
     """Refuse a pair with a side that tokenizes to nothing."""
     if not normalize(left).split() or not normalize(right).split():
-        raise DataError(f"{what} file {path!r} line {i} has a sentence "
-                        f"with no word")
+        raise _bad_row(path, what, i, "has a sentence with no word")
+
+
+def _bad_row(path: str, what: str, i: int, problem: str) -> DataError:
+    return DataError(f"{what} file {path!r} line {i} {problem}")
 
 
 def load_bitext(path: str) -> list[tuple[str, str, str, str]]:
     rows = []
     for i, parts in _tab_rows(path, "bitext"):
         if len(parts) != 4:
-            raise DataError(f"bitext line {i} must have 4 tab-separated fields")
+            raise _bad_row(path, "bitext", i, "must have 4 tab-separated fields")
         _require_words(path, "bitext", i, parts[0], parts[1])
         rows.append(tuple(parts))
     return rows
@@ -180,9 +183,9 @@ def load_nli(path: str) -> list[tuple[str, str, int]]:
     rows = []
     for i, parts in _tab_rows(path, "NLI"):
         if len(parts) < 3:
-            raise DataError(f"NLI line {i} needs premise, hypothesis, and label")
+            raise _bad_row(path, "NLI", i, "needs premise, hypothesis, and label")
         if parts[2] not in label_ids:
-            raise DataError(f"NLI line {i} has unknown label {parts[2]!r}")
+            raise _bad_row(path, "NLI", i, f"has unknown label {parts[2]!r}")
         _require_words(path, "NLI", i, parts[0], parts[1])
         rows.append((parts[0], parts[1], label_ids[parts[2]]))
     return rows

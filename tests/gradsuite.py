@@ -49,6 +49,11 @@ def op_cases(rng):
     att_bias = (1.0 - att_mask)[:, None, None, :] * -1e9
     # two queries against the same four keys, as in a pruned last layer
     att_q_short = _rand(rng, (2, 2, 6))
+    # the fused feed-forward block on [2, 3, 4] -> ff 5 -> 3; drawn last, so
+    # the inputs of every case above stay as they were
+    ffn_x = _rand(rng, (2, 3, 4))
+    ffn_w1, ffn_b1 = _rand(rng, (4, 5)), _rand(rng, (5,))
+    ffn_w2, ffn_b2 = _rand(rng, (5, 3)), _rand(rng, (3,))
 
     def w(fn):
         return lambda x: _weighted_scalar(fn(x))
@@ -90,6 +95,12 @@ def op_cases(rng):
         ad.constant(att_q_short), x, ad.constant(att_v), att_bias, 2)), att_k
     yield "attention_v_short", w(lambda x: ad.attention_core(
         ad.constant(att_q_short), ad.constant(att_k), x, att_bias, 2)), att_v
+    ffn_inputs = (ffn_x, ffn_w1, ffn_b1, ffn_w2, ffn_b2)
+    for i, name in enumerate(("x", "w1", "b1", "w2", "b2")):
+        def ffn_at(x, i=i):
+            return ad.ffn(*(x if j == i else ad.constant(v)
+                            for j, v in enumerate(ffn_inputs)))
+        yield f"ffn_{name}", w(ffn_at), ffn_inputs[i]
     yield "reshape", w(lambda x: ad.reshape(x, (r2[0] * r2[1],))), a
     yield "transpose", w(lambda x: ad.transpose(x, (1, 0))), a
     yield "concat", w(lambda x: ad.concat([x, ad.constant(b)], axis=1)), a

@@ -523,6 +523,23 @@ class TestTextInputs:
         assert code == EXIT_DATA and "Traceback" not in err
         assert repr(str(bad)) in err and "line 2" in err
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("bitext", lambda parts: parts[:3]),
+        ("nli", lambda parts: parts[:2]),
+        ("nli", lambda parts: parts[:2] + ["maybe"] + parts[3:]),
+    ], ids=["bitext-fields", "nli-fields", "nli-label"])
+    def test_bad_row_exits_2_naming_the_file(self, kind, edit, inputs, tmp_path,
+                                             capsys):
+        source, argv = inputs[kind]
+        lines = open(source, encoding="utf-8").read().split("\n")
+        lines[1] = "\t".join(edit(lines[1].split("\t")))
+        bad = tmp_path / f"bad-row-{kind}"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code, _, err = run_cli([str(bad) if arg == BAD else arg
+                                for arg in argv], capsys)
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert repr(str(bad)) in err and "line 2" in err
+
     @pytest.mark.parametrize("kind", ["gold", "embed"])
     def test_directory_as_text_input_exits_2(self, kind, inputs, tmp_path,
                                              capsys):

@@ -85,6 +85,53 @@ class TestLinear:
                       ad.Tensor(np.ones(3)))
 
 
+def _ffn_unfused(x, w1, b1, w2, b2):
+    """The composition ``model.encode`` used before the fused op."""
+    return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+
+
+class TestFfn:
+    @pytest.mark.parametrize("x_shape", [(7, 5), (3, 7, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_linear_gelu_linear(self, x_shape, dtype):
+        rng = np.random.default_rng(9)
+        x, w1, b1, w2, b2 = (rng.standard_normal(shape).astype(dtype) for shape in
+                             (x_shape, (5, 12), (12,), (12, 4), (4,)))
+        x *= dtype(3.0)  # reach both tails of gelu
+        weights = rng.standard_normal(x_shape[:-1] + (4,)).astype(dtype)
+        got, got_g = _grads(ad.ffn, (x, w1, b1, w2, b2), weights)
+        want, want_g = _grads(_ffn_unfused, (x, w1, b1, w2, b2), weights)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for g, h in zip(got_g, want_g):
+            assert g.dtype == dtype and g.shape == h.shape
+            assert g.tobytes() == h.tobytes()
+
+    def test_one_tape_entry_and_constant_operands_get_none(self):
+        rng = np.random.default_rng(10)
+        shapes = ((2, 3, 4), (4, 6), (6,), (6, 4), (4,))
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        for tracked in range(5):
+            inputs = [ad.Tensor(a, requires_grad=(i == tracked))
+                      for i, a in enumerate(arrays)]
+            with ad.GradientTape() as tape:
+                ad.ffn(*inputs)
+            assert [e.name for e in tape._entries] == ["ffn"]
+            grads = tape._entries[0].backward(np.ones((2, 3, 4)))
+            for i, (g, shape) in enumerate(zip(grads, shapes)):
+                assert (g.shape == shape) if i == tracked else g is None
+
+    def test_bad_shapes_rejected(self):
+        x, w1, b1, w2, b2 = (ad.Tensor(np.ones(shape)) for shape in
+                             ((3, 4), (4, 6), (6,), (6, 2), (2,)))
+        for args in ((ad.Tensor(np.ones((3, 5))), w1, b1, w2, b2),
+                     (x, w1, ad.Tensor(np.ones(4)), w2, b2),
+                     (x, w1, b1, ad.Tensor(np.ones((4, 2))), b2),
+                     (x, w1, b1, w2, ad.Tensor(np.ones(6)))):
+            with pytest.raises(DimensionError):
+                ad.ffn(*args)
+
+
 def _attention_unfused(q, k, v, mask_bias, heads):
     """The composition ``model._attention`` used before the fused op."""
     b, t, d = q.data.shape

@@ -76,6 +76,19 @@ class TestTokenize:
         assert all(i == UNK or i >= NUM_RESERVED for i in ids)
         assert PAD not in ids
 
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(st.one_of(
+        st.sampled_from(["a", "ab", "abc", "cd", "AB", "Cd", "zq", "[x]",
+                         "[PAD]", "[pad]", "[MASK]", "[unk]", "[cls]"]),
+        st.text(alphabet="abcdxzAQ[]", min_size=1, max_size=7)), max_size=8))
+    def test_equals_encode_word_per_word(self, words):
+        # whole words, decompositions, out-of-vocabulary characters,
+        # uppercase, and words that spell a reserved token
+        vocab = build_vocab(["a b a", "ab cd", "[x] ab"], target_size=24)
+        text = " ".join(words)
+        want = [i for word in text.lower().split() for i in vocab.encode_word(word)]
+        assert tokenize(text, vocab) == want
+
 
 class TestReadLines:
     def test_line_ends_and_tail(self, tmp_path):

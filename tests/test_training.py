@@ -161,6 +161,20 @@ class TestCorpusLoading:
             loader(str(path))
         assert f"{path}' line 2 " in str(info.value)
 
+    @pytest.mark.parametrize("loader, line, problem", [
+        (load_bitext, "a b\tc d\tl0", "must have 4 tab-separated fields"),
+        (load_nli, "a b\tc d", "needs premise, hypothesis, and label"),
+        (load_nli, "a b\tc d\tmaybe", "has unknown label 'maybe'"),
+    ], ids=["bitext-fields", "nli-fields", "nli-label"])
+    def test_bad_row_names_the_file(self, tmp_path, loader, line, problem):
+        good = ("a b\tc d\tl0\tl1" if loader is load_bitext
+                else "a b\tc d\tentailment")
+        path = tmp_path / "f.tsv"
+        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            loader(str(path))
+        assert str(info.value).endswith(f" file {str(path)!r} line 2 {problem}")
+
 
 class TestCheckpointIO:
     def _roundtrip_setup(self, tmp_path):
