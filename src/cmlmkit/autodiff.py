@@ -34,8 +34,8 @@ serial number, so it keeps no Tensor alive, and each backward rule holds
 only the arrays its formulas read (shapes and flags instead of whole input
 tensors, an operand's data only when the other operand needs a gradient).
 An op output that no backward rule reads is freed as soon as the forward
-pass drops it. During ``backward`` an intermediate gradient is dropped as
-soon as the op that produced its node has consumed it.
+pass drops it. During a backward pass an intermediate gradient is dropped
+as soon as the op that produced it has consumed it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ _DEFAULT_DTYPE = np.float32
 # Stack of active tapes; only the innermost records. Thread-confined by design.
 _TAPE_STACK: list["GradientTape"] = []
 
-# Tensor serial numbers: never reused, so a tape can key its nodes by them
+# Tensor serial numbers: never reused, so a tape can key its entries by them
 # without keeping the tensors alive.
 _SERIALS = itertools.count()
 
@@ -176,14 +176,14 @@ class GradientTape:
     it; replaying in reverse accumulates a gradient for every reachable
     tensor with ``requires_grad`` exactly once.
 
-    A node is keyed by its tensor's serial number, so the tape holds no
-    Tensor; what it keeps alive is what the backward rules read. The rules
-    stay on the tape after a pass, so ``backward`` may run more than once.
+    Entries and gradients are keyed by tensor serial number, so the tape
+    holds no Tensor; what it keeps alive is what the backward rules read.
+    The rules stay on the tape after a pass, so a tape can run backward more
+    than once.
     """
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
-        self._ids: dict[int, int] = {}  # tensor serial -> node id
 
     def __enter__(self) -> "GradientTape":
         _TAPE_STACK.append(self)
@@ -194,42 +194,24 @@ class GradientTape:
         if popped is not self:  # pragma: no cover - misuse guard
             raise ContractError("GradientTape contexts closed out of order")
 
-    def node_of(self, tensor: Tensor) -> int:
-        nid = self._ids.get(tensor._serial)
-        if nid is None:
-            nid = self._ids[tensor._serial] = len(self._ids)
-        return nid
-
     def record(self, name: str, inputs: Sequence[Tensor], output: Tensor,
                backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> None:
-        entry = _TapeEntry(
-            name,
-            tuple(self.node_of(t) for t in inputs),
-            self.node_of(output),
-            backward,
-        )
-        self._entries.append(entry)
-
-    def backward(self, root: Tensor) -> dict[int, np.ndarray]:
-        """Gradients of a scalar ``root`` with respect to its leaf nodes.
-
-        Returns a map from node id to gradient array for every reachable
-        node that no op on this tape produced. An op output's gradient is
-        dropped once its op has consumed it.
-        """
-        return self._backprop(root, ())
+        self._entries.append(_TapeEntry(
+            name, tuple(t._serial for t in inputs), output._serial, backward))
 
     def _backprop(self, root: Tensor, keep) -> dict[int, np.ndarray]:
-        """``backward``, also returning the gradients of the nodes in ``keep``."""
+        """Gradients of a scalar ``root``, by serial number, of every
+        reachable tensor that no op on this tape produced and of the serials
+        in ``keep``; any other op output's gradient is dropped once its op
+        has consumed it."""
         if root.data.size != 1:
             raise ContractError(
                 f"backward root must be scalar, got shape {root.data.shape}")
-        root_id = self._ids.get(root._serial)
-        if root_id is None:
+        root_id = root._serial
+        if not any(entry.output_id == root_id or root_id in entry.input_ids
+                   for entry in reversed(self._entries)):
             raise ContractError("backward root is not on this tape")
-        grads: dict[int, np.ndarray] = {
-            root_id: np.ones_like(root.data)
-        }
+        grads: dict[int, np.ndarray] = {root_id: np.ones_like(root.data)}
         for entry in reversed(self._entries):
             if entry.output_id in keep:
                 g_out = grads.get(entry.output_id)
@@ -247,24 +229,16 @@ class GradientTape:
                     grads[nid] = g
         return grads
 
-    def _node_ids(self, tensors) -> list[int | None]:
-        return [self._ids.get(t._serial) for t in tensors]
-
     def gradients(self, root: Tensor,
                   params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         """Named-parameter gradients; unreachable parameters get zeros."""
-        nids = self._node_ids(params.values())
-        node_grads = self._backprop(root, set(nids))
-        out: dict[str, np.ndarray] = {}
-        for (name, p), nid in zip(params.items(), nids):
-            g = node_grads.get(nid)
-            out[name] = g if g is not None else np.zeros_like(p.data)
-        return out
+        grads = self._backprop(root, {p._serial for p in params.values()})
+        return {name: grads[p._serial] if p._serial in grads
+                else np.zeros_like(p.data) for name, p in params.items()}
 
     def grad(self, root: Tensor, tensor: Tensor) -> np.ndarray:
         """Gradient of ``root`` with respect to a single tensor."""
-        nids = self._node_ids([tensor])
-        g = self._backprop(root, set(nids)).get(nids[0])
+        g = self._backprop(root, {tensor._serial}).get(tensor._serial)
         return g if g is not None else np.zeros_like(tensor.data)
 
 
@@ -833,8 +807,7 @@ def log_softmax(a: Tensor) -> Tensor:
 LAYER_NORM_EPS = 1e-12
 
 
-def layer_norm(a: Tensor, scale: Tensor, bias: Tensor,
-               eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The rows are flattened to [rows, d], and every row mean (the mean and
@@ -851,7 +824,7 @@ def layer_norm(a: Tensor, scale: Tensor, bias: Tensor,
     x_hat2 = x - (x @ row_mean)[:, None]
     sq = x_hat2 * x_hat2
     inv_std = sq @ row_mean
-    inv_std += eps
+    inv_std += LAYER_NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     inv_std = inv_std[:, None]
@@ -882,8 +855,11 @@ def layer_norm(a: Tensor, scale: Tensor, bias: Tensor,
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor,
-                   h: float = 1e-5) -> float:
+# central-difference step of check_gradient
+FINITE_DIFFERENCE_STEP = 1e-5
+
+
+def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must be scalar-valued. The input is promoted to float64; at single
@@ -903,6 +879,7 @@ def check_gradient(f: Callable[[Tensor], Tensor], x: Tensor,
     numeric = np.zeros_like(base)
     flat = base.reshape(-1)
     num_flat = numeric.reshape(-1)
+    h = FINITE_DIFFERENCE_STEP
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h

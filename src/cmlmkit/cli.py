@@ -19,11 +19,12 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CmlmError, ContractError, DataError
-from .evaluation import (EmbeddingSet, language_bias_histogram, linear_probe,
+from .evaluation import (EmbeddingSet, in_batch_retrieval_accuracy,
+                         language_bias_histogram, linear_probe,
                          load_embeddings, export_2d, normalized_rows,
                          pcr_debias, retrieval_accuracy, save_embeddings,
                          spearman_correlation)
-from .losses import CMLM_VARIANTS, in_batch_retrieval_accuracy
+from .losses import CMLM_VARIANTS
 from .model import POOLING_KINDS, REPRESENTATIONS, embed_texts
 from .synth import SynthSpec, generate
 from .text import read_lines

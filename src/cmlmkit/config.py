@@ -31,12 +31,8 @@ def _schema() -> list[tuple[str, type, object]]:
 
 class _RunConfigMethods:
     @classmethod
-    def field_types(cls) -> dict[str, type]:
-        return {f.name: f.type for f in fields(cls)}
-
-    @classmethod
     def _coerce(cls, key: str, raw: str):
-        kind = cls.field_types()[key]
+        kind = next(f.type for f in fields(cls) if f.name == key)
         try:
             if kind is int:
                 return int(raw)

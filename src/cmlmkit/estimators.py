@@ -17,8 +17,8 @@ import numpy as np
 from .autodiff import all_finite
 from .config import RunConfig
 from .errors import ContractError, DataError
-from .evaluation import (_directions_per_tag, _planar_basis, _remove_directions,
-                         _softmax_regression)
+from .evaluation import (PROBE_LEARNING_RATE, PROBE_STEPS, _directions_per_tag,
+                         _planar_basis, _remove_directions, _softmax_regression)
 from .model import embed_texts
 from .synth import write_corpus
 from .training import load_checkpoint, run_plan
@@ -180,7 +180,8 @@ class PrincipalComponentRemover(BaseEstimator):
 class LogisticProbe(BaseEstimator):
     """Frozen-feature multinomial logistic regression (full-batch GD)."""
 
-    def __init__(self, learning_rate: float = 0.5, steps: int = 500):
+    def __init__(self, learning_rate: float = PROBE_LEARNING_RATE,
+                 steps: int = PROBE_STEPS):
         self.learning_rate = learning_rate
         self.steps = steps
 

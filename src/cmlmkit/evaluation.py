@@ -6,6 +6,8 @@ pipeline outputs can be compared byte for byte.
 
 from __future__ import annotations
 
+import csv
+import html
 import math
 from dataclasses import dataclass, field
 
@@ -195,6 +197,14 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
     return top
 
 
+def in_batch_retrieval_accuracy(source: np.ndarray, target: np.ndarray) -> float:
+    """Fraction of rows whose highest float64 inner product is their own
+    pair; the first maximum wins."""
+    best = _top_k(np.asarray(source, dtype=np.float64),
+                  np.asarray(target, dtype=np.float64), 1)[:, 0]
+    return float(np.mean(best == np.arange(best.shape[0])))
+
+
 def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
                        gold) -> float:
     """Fraction of queries whose nearest candidate by cosine is the gold one.
@@ -294,8 +304,12 @@ def language_bias_histogram(queries: EmbeddingSet, pool: EmbeddingSet,
     return {tag: int(n) / top.size for tag, n in zip(tags, counts)}
 
 
-def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
-                 learning_rate: float = 0.5, steps: int = 500) -> float:
+# gradient-descent settings of ``linear_probe`` and ``LogisticProbe``'s defaults
+PROBE_LEARNING_RATE = 0.5
+PROBE_STEPS = 500
+
+
+def linear_probe(train: EmbeddingSet, test: EmbeddingSet) -> float:
     """Multinomial logistic regression on frozen embeddings; test accuracy.
 
     Full-batch gradient descent from a zero initialization, so the result is
@@ -313,7 +327,7 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
 
     mu, sigma, w, b = _softmax_regression(
         train.vectors.astype(np.float64), train.labels, train_classes,
-        learning_rate, steps)
+        PROBE_LEARNING_RATE, PROBE_STEPS)
     xt = (test.vectors.astype(np.float64) - mu) / sigma
     pred = train_classes[np.argmax(xt @ w + b, axis=1)]
     return float(np.mean(pred == test.labels))
@@ -378,6 +392,8 @@ def spearman_correlation(pred, gold) -> float:
 # 2-d export
 # ---------------------------------------------------------------------------
 
+SVG_SIZE = 480  # pixels a side
+SVG_PAD = 30
 _SVG_PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
                 "#aa3377", "#bbbbbb", "#000000")
 
@@ -401,17 +417,17 @@ def project_2d(es: EmbeddingSet) -> np.ndarray:
 def export_2d(es: EmbeddingSet, csv_path: str, svg_path: str) -> np.ndarray:
     """Write "id,lang,x,y" CSV and a self-contained SVG scatter; return coords."""
     coords = project_2d(es)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("id,lang,x,y\n")
-        for i in range(len(es)):
-            fh.write(f"{es.ids[i]},{es.languages[i]},"
-                     f"{coords[i, 0]:.8g},{coords[i, 1]:.8g}\n")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("id", "lang", "x", "y"))
+        writer.writerows((es.ids[i], es.languages[i], f"{coords[i, 0]:.8g}",
+                          f"{coords[i, 1]:.8g}") for i in range(len(es)))
     _write_svg(es, coords, svg_path)
     return coords
 
 
-def _write_svg(es: EmbeddingSet, coords: np.ndarray, path: str,
-               size: int = 480, pad: int = 30) -> None:
+def _write_svg(es: EmbeddingSet, coords: np.ndarray, path: str) -> None:
+    size, pad = SVG_SIZE, SVG_PAD
     tags = es.tag_set
     color = {tag: _SVG_PALETTE[i % len(_SVG_PALETTE)]
              for i, tag in enumerate(tags)}
@@ -437,7 +453,7 @@ def _write_svg(es: EmbeddingSet, coords: np.ndarray, path: str,
         y = pad + 14 * j
         lines.append(f'<circle cx="{pad}" cy="{y}" r="4" fill="{color[tag]}"/>')
         lines.append(f'<text x="{pad + 8}" y="{y + 4}" font-size="11" '
-                     f'font-family="sans-serif">{tag}</text>')
+                     f'font-family="sans-serif">{html.escape(tag, quote=False)}</text>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

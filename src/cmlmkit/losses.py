@@ -15,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .evaluation import _top_k
 from .masking import MaskedPairBatch
 from .model import EncoderConfig, encode, encode_and_pool, project
 
@@ -119,11 +118,14 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
         widened = ad.concat([hidden, per_position], axis=1)  # [M, 2d]
         hidden = ad.linear(widened, params["skip.w"], params["skip.b"])
 
-    logits = _mlm_logits(hidden, params)  # [M, V]
-    log_probs = ad.log_softmax(logits)
-    picked = ad.take_per_row(log_probs, batch.mask_labels)
-    loss = ad.neg(ad.tmean(picked))
-    accuracy = float(np.mean(np.argmax(logits.data, -1) == batch.mask_labels))
+    return _cross_entropy(_mlm_logits(hidden, params), batch.mask_labels)
+
+
+def _cross_entropy(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, float]:
+    """Mean negative log-softmax of each row's label, and the fraction of
+    rows whose first maximum is their label."""
+    loss = ad.neg(ad.tmean(ad.take_per_row(ad.log_softmax(logits), labels)))
+    accuracy = float(np.mean(np.argmax(logits.data, axis=-1) == labels))
     return loss, accuracy
 
 
@@ -143,13 +145,11 @@ def bitext_loss_from_scores(phi: Tensor, margin: float) -> tuple[Tensor, Tensor]
         raise DimensionError(f"score matrix must be square, got {phi.data.shape}")
     if phi.data.shape[0] < 2:
         raise ContractError("bitext loss needs B >= 2")
-    b = phi.data.shape[0]
-    diag = np.arange(b)
+    diag = np.arange(phi.data.shape[0])
 
-    adjusted = _margin_diagonal_scores(phi, margin)
-    source = ad.neg(ad.tmean(ad.take_per_row(ad.log_softmax(adjusted), diag)))
-    adjusted_t = _margin_diagonal_scores(ad.transpose(phi, (1, 0)), margin)
-    target = ad.neg(ad.tmean(ad.take_per_row(ad.log_softmax(adjusted_t), diag)))
+    source, _ = _cross_entropy(_margin_diagonal_scores(phi, margin), diag)
+    target, _ = _cross_entropy(
+        _margin_diagonal_scores(ad.transpose(phi, (1, 0)), margin), diag)
     return source, target
 
 
@@ -158,14 +158,6 @@ def bitext_loss(batch: BitextBatch) -> Tensor:
     phi = ad.matmul(batch.source, ad.transpose(batch.target, (1, 0)))
     source, target = bitext_loss_from_scores(phi, batch.margin)
     return ad.add(source, target)
-
-
-def in_batch_retrieval_accuracy(source: np.ndarray, target: np.ndarray) -> float:
-    """Fraction of rows whose highest float64 inner product is their own
-    pair; the first maximum wins."""
-    best = _top_k(np.asarray(source, dtype=np.float64),
-                  np.asarray(target, dtype=np.float64), 1)[:, 0]
-    return float(np.mean(best == np.arange(best.shape[0])))
 
 
 def nli_features(u: Tensor, v: Tensor) -> Tensor:
@@ -181,12 +173,8 @@ def nli_loss(batch: NLIBatch,
     and hypothesis tensors come from it.
     """
     feats = nli_features(batch.premise, batch.hypothesis)
-    logits = ad.linear(feats, params["nli.w"], params["nli.b"])
-    log_probs = ad.log_softmax(logits)
-    picked = ad.take_per_row(log_probs, batch.labels)
-    loss = ad.neg(ad.tmean(picked))
-    accuracy = float(np.mean(np.argmax(logits.data, axis=-1) == batch.labels))
-    return loss, accuracy
+    return _cross_entropy(ad.linear(feats, params["nli.w"], params["nli.b"]),
+                          batch.labels)
 
 
 def combined_loss(l_cmlm: Tensor, l_br: Tensor, alpha: float = 0.2) -> Tensor:

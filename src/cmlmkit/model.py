@@ -24,6 +24,7 @@ INIT_STDDEV = 0.02
 
 POOLING_KINDS = ("mean", "max", "cls")
 REPRESENTATIONS = ("pooled", "proj_mean")
+EMBED_BATCH_SIZE = 64  # sentences ``embed_texts`` encodes at once
 
 
 @dataclass
@@ -273,8 +274,7 @@ def encode_and_pool(ids: np.ndarray, mask: np.ndarray,
 
 def embed_texts(texts: list[str], params: dict[str, Tensor],
                 config: EncoderConfig, vocab: Vocab,
-                representation: str = "pooled",
-                batch_size: int = 64) -> np.ndarray:
+                representation: str = "pooled") -> np.ndarray:
     """Embed sentences without dropout; rows align with the input order."""
     if representation not in REPRESENTATIONS:
         raise ContractError(
@@ -282,8 +282,8 @@ def embed_texts(texts: list[str], params: dict[str, Tensor],
     if not texts:
         raise DataError("no texts to embed")
     rows = []
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start:start + batch_size]
+    for start in range(0, len(texts), EMBED_BATCH_SIZE):
+        chunk = texts[start:start + EMBED_BATCH_SIZE]
         token_lists = []
         for text in chunk:
             ids = tokenize(text, vocab)[:config.max_len]

@@ -15,6 +15,7 @@ flat moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,18 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("adam", "lamb"):
             raise ContractError(f"optimizer kind must be adam or lamb, got {self.kind!r}")
-        if self.step < 0:
-            raise ContractError("step counter must be non-negative")
+        # each comparison is False for NaN
+        for name in ("learning_rate", "weight_decay", "warmup_steps",
+                     "total_steps", "step"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be >= 0 and finite, "
+                                    f"got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ContractError(
+                    f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.eps < math.inf:
+            raise ContractError(f"eps must be > 0 and finite, got {self.eps}")
 
     def effective_lr(self, step: int | None = None) -> float:
         """Piecewise-linear rate: ramp from 0 over warmup, then decay to 0."""

@@ -48,9 +48,6 @@ class Vocab:
     def token_of(self, token_id: int) -> str:
         return self._tokens[token_id]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def encode_word(self, word: str) -> list[int]:
         """Whole-word lookup, else greedy longest-prefix decomposition."""
         whole = self._ids.get(word)

@@ -20,6 +20,7 @@ resumed from disk is bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
@@ -30,8 +31,9 @@ from . import records
 from .autodiff import GradientTape, Tensor
 from .errors import (ConfigMismatchError, ContractError, DataError,
                      IntegrityError, NonFiniteError, TrainingDiverged)
-from .losses import (BitextBatch, NLIBatch, bitext_loss, cmlm_loss,
-                     combined_loss, in_batch_retrieval_accuracy, nli_loss)
+from .evaluation import in_batch_retrieval_accuracy
+from .losses import (CMLM_VARIANTS, BitextBatch, NLIBatch, bitext_loss,
+                     cmlm_loss, combined_loss, nli_loss)
 from .masking import default_num_mask, make_batch, make_pairs
 from .model import EncoderConfig, encode_and_pool, init_params, param_specs
 from .optim import OptimizerState, optimizer_step
@@ -45,10 +47,9 @@ CHECKPOINT_VERSION = 2
 STRATEGIES = ("cmlm_only", "s1", "s2", "s3")
 _RNG_STREAMS = ("sample", "mask", "dropout", "bitext", "nli")
 # the least value a plan setting may take; the stage step counts are checked
-# per strategy
+# per strategy, the optimizer settings by ``OptimizerState``
 _PLAN_FLOORS = {"alpha": 0, "margin": 0, "batch_size": 1, "log_every": 1,
-                "checkpoint_every": 1, "num_mask": 0, "nli_steps": 0,
-                "learning_rate": 0, "warmup_steps": 0}
+                "checkpoint_every": 1, "num_mask": 0, "nli_steps": 0}
 
 
 @dataclass
@@ -83,10 +84,13 @@ class TrainPlan:
         if self.strategy not in STRATEGIES:
             raise ContractError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.variant not in CMLM_VARIANTS:
+            raise ContractError(
+                f"variant must be one of {CMLM_VARIANTS}, got {self.variant!r}")
         for name, floor in _PLAN_FLOORS.items():
-            if getattr(self, name) < floor:
-                raise ContractError(
-                    f"{name} must be >= {floor}, got {getattr(self, name)}")
+            if not floor <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ContractError(f"{name} must be >= {floor} and finite, "
+                                    f"got {getattr(self, name)}")
         if self.strategy in ("cmlm_only", "s1"):
             if self.stage2_steps:
                 raise ContractError(
@@ -99,6 +103,16 @@ class TrainPlan:
         if self.needs_bitext() and self.batch_size < 2:
             raise ContractError(f"batch_size must be >= 2 for in-batch negatives "
                                 f"of the bitext loss, got {self.batch_size}")
+        self.optimizer_state()
+
+    def optimizer_state(self) -> OptimizerState:
+        """A fresh optimizer state with this plan's settings; its schedule
+        spans every stage."""
+        return OptimizerState(
+            kind=self.optimizer, learning_rate=self.learning_rate,
+            beta1=self.beta1, beta2=self.beta2, eps=self.eps,
+            weight_decay=self.weight_decay, warmup_steps=self.warmup_steps,
+            total_steps=self.total_steps())
 
     def stages(self) -> list[tuple[str, int]]:
         table = {
@@ -182,8 +196,8 @@ def load_nli(path: str) -> list[tuple[str, str, int]]:
     label_ids = {name: i for i, name in enumerate(NLI_LABEL_NAMES)}
     rows = []
     for i, parts in _tab_rows(path, "NLI"):
-        if len(parts) < 3:
-            raise _bad_row(path, "NLI", i, "needs premise, hypothesis, and label")
+        if len(parts) not in (3, 5):
+            raise _bad_row(path, "NLI", i, "must have 3 or 5 tab-separated fields")
         if parts[2] not in label_ids:
             raise _bad_row(path, "NLI", i, f"has unknown label {parts[2]!r}")
         _require_words(path, "NLI", i, parts[0], parts[1])
@@ -459,24 +473,18 @@ class _Run:
 
 
 def run_plan(config: EncoderConfig, plan: TrainPlan,
-             init: dict[str, Tensor] | None = None,
              resume: CheckpointBundle | str | None = None
              ) -> tuple[dict[str, Tensor], list[dict], "_RunHandles"]:
     """Execute the plan; returns (params, per-step history, handles).
 
-    ``init`` warm-starts from existing parameters (fresh optimizer and step
-    counter); ``resume`` continues a checkpointed run exactly, including RNG
-    streams, the step counter and the metrics log, and refuses a checkpoint
-    whose strategy or optimizer schedule differs from the plan's.
-    Deterministic given the seed in single-threaded mode.
+    ``resume`` continues a checkpointed run exactly, including RNG streams,
+    the step counter and the metrics log, and refuses a checkpoint whose
+    strategy or optimizer schedule differs from the plan's. Deterministic
+    given the seed in single-threaded mode.
     """
     run = _Run(config, plan)
     total = plan.total_steps()
-    opt_state = OptimizerState(
-        kind=plan.optimizer, learning_rate=plan.learning_rate,
-        beta1=plan.beta1, beta2=plan.beta2, eps=plan.eps,
-        weight_decay=plan.weight_decay, warmup_steps=plan.warmup_steps,
-        total_steps=total)
+    opt_state = plan.optimizer_state()
 
     if resume is not None:
         bundle = load_checkpoint(resume) if isinstance(resume, str) else resume
@@ -490,21 +498,7 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
         for name, state in bundle.rng_states.items():
             run.rngs[name].bit_generator.state = state
     else:
-        if init is not None:
-            reference = param_specs(run.config)
-            missing = sorted(set(reference) - set(init))
-            if missing:
-                raise ConfigMismatchError(
-                    f"warm-start parameters missing {missing}")
-            for name, (shape, _) in reference.items():
-                if init[name].data.shape != shape:
-                    raise ConfigMismatchError(
-                        f"warm-start parameter {name!r} has shape "
-                        f"{init[name].data.shape}, expected {shape}")
-            run.params = {name: Tensor(init[name].data.copy(), requires_grad=True)
-                          for name in reference}
-        else:
-            run.params = init_params(run.config, run.init_rng)
+        run.params = init_params(run.config, run.init_rng)
         run.opt_state = opt_state
         run.step = 0
 

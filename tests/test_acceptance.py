@@ -14,12 +14,11 @@ from cmlmkit import autodiff as ad
 from cmlmkit import training
 from cmlmkit.cli import EXIT_OK, dispatch
 from cmlmkit.config import RunConfig
-from cmlmkit.evaluation import (EmbeddingSet, language_bias_histogram,
-                                pcr_debias, retrieval_accuracy,
-                                spearman_correlation)
+from cmlmkit.evaluation import (EmbeddingSet, in_batch_retrieval_accuracy,
+                                language_bias_histogram, pcr_debias,
+                                retrieval_accuracy, spearman_correlation)
 from cmlmkit.losses import (BitextBatch, NLIBatch, bitext_loss,
-                            bitext_loss_from_scores, cmlm_loss,
-                            in_batch_retrieval_accuracy, nli_loss)
+                            bitext_loss_from_scores, cmlm_loss, nli_loss)
 from cmlmkit.masking import make_batch, make_pairs, mask_tokens
 from cmlmkit.model import (EncoderConfig, embed_texts, encode_and_pool,
                            init_params, project)

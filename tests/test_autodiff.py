@@ -112,7 +112,19 @@ class TestBackward:
         with ad.GradientTape() as tape:
             y = ad.mul(x, x)
             with pytest.raises(ContractError):
-                tape.backward(y)
+                tape.grad(y, x)
+
+    def test_root_not_on_the_tape_rejected(self):
+        x = tensor64([1.0], requires_grad=True)
+        with ad.GradientTape() as tape:
+            y = ad.tsum(ad.mul(x, x))
+        with ad.GradientTape():
+            elsewhere = ad.tsum(ad.mul(x, 3.0))
+        for root in (elsewhere, tensor64(2.0, requires_grad=True)):
+            with pytest.raises(ContractError, match="not on this tape"):
+                tape.grad(root, x)
+        np.testing.assert_allclose(tape.grad(y, x), [2.0])
+        np.testing.assert_allclose(tape.grad(x, x), [1.0])  # a leaf it read
 
     def test_unreachable_parameter_gets_zero(self):
         x = tensor64([1.0], requires_grad=True)

@@ -145,6 +145,7 @@ class TestExitCodes:
         ("", ["--nli-steps", "-5"], "nli_steps"),
         ("", ["--learning-rate", "-1"], "learning_rate"),
         ("", ["--warmup-steps", "-4"], "warmup_steps"),
+        ("weight_decay = -0.1", [], "weight_decay"),
     ])
     def test_plan_value_below_its_floor_is_refused_before_training(
             self, synth_dir, tmp_path, capsys, line, flags, named):
@@ -159,6 +160,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert f"{named} must be >= " in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("variant = bogus", "variant must be one of"),
+        ("optimizer = sgd", "optimizer kind must be adam or lamb"),
+        ("beta1 = 1", "beta1 must lie in [0, 1)"),
+        ("beta2 = 1", "beta2 must lie in [0, 1)"),
+        ("eps = 0", "eps must be > 0"),
+    ])
+    def test_bad_variant_or_optimizer_setting_writes_nothing(
+            self, synth_dir, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        out.mkdir()
+        code, _, err = run_cli([
+            "train", "--config", str(cfg),
+            "--corpus", os.path.join(synth_dir, "corpus.txt"),
+            "--stage1-steps", "3", "--out", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert message in err and "Traceback" not in err
+        assert os.listdir(out) == []
 
     def test_no_subcommand_prints_usage(self, capsys):
         code, _, err = run_cli([], capsys)

@@ -1,3 +1,6 @@
+import csv
+import xml.dom.minidom
+
 import numpy as np
 import pytest
 
@@ -351,6 +354,28 @@ class TestExport2d:
         assert lines[0] == "id,lang,x,y"
         assert len(lines) == len(es) + 1
         assert lines[1].startswith("t0,la,")
+
+    def test_ids_and_tags_with_delimiters_and_markup(self, tmp_path):
+        ids = ["plain", "a,b", 'say "hi"', "<b>&amp;", 'x, "y", z']
+        tags = ["l0", "x,y", 'q"t', "<l>", "a&b"]
+        rng = np.random.default_rng(19)
+        es = EmbeddingSet(rng.standard_normal((5, 4)).astype(np.float32),
+                          tags, ids)
+        csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+        coords = export_2d(es, str(csv_path), str(svg_path))
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "lang", "x", "y"]
+        assert [tuple(row[:2]) for row in rows[1:]] == list(zip(ids, tags))
+        np.testing.assert_allclose(
+            [[float(x), float(y)] for _, _, x, y in rows[1:]], coords, rtol=1e-7)
+        # a row without special characters is written as plain text
+        plain = csv_path.read_text(encoding="utf-8").splitlines()[1]
+        assert plain == f"plain,l0,{coords[0, 0]:.8g},{coords[0, 1]:.8g}"
+        svg = xml.dom.minidom.parse(str(svg_path))
+        legend = [node.firstChild.data
+                  for node in svg.getElementsByTagName("text")]
+        assert legend == sorted(tags)
 
 
 class TestEmbeddingFile:

@@ -18,8 +18,7 @@ def _grads(build, inputs, weights):
     with ad.GradientTape() as tape:
         out = build(*leaves)
         loss = ad.tsum(ad.mul(out, ad.constant(weights)))
-    grads = tape.backward(loss)
-    return out.data, [grads[tape.node_of(t)] for t in leaves]
+    return out.data, list(tape.gradients(loss, dict(enumerate(leaves))).values())
 
 
 def _f32(rng, shape):

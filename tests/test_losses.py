@@ -3,9 +3,10 @@ import pytest
 
 from cmlmkit import autodiff as ad, losses
 from cmlmkit.errors import ContractError
+from cmlmkit.evaluation import in_batch_retrieval_accuracy
 from cmlmkit.losses import (BitextBatch, NLIBatch, bitext_loss,
                             bitext_loss_from_scores, cmlm_loss, combined_loss,
-                            in_batch_retrieval_accuracy, nli_features, nli_loss)
+                            nli_features, nli_loss)
 from cmlmkit.masking import MaskedPairBatch, make_batch, make_pairs
 from cmlmkit.model import (EncoderConfig, encode, encode_and_pool,
                            init_params, project)

@@ -77,6 +77,30 @@ class TestSchedule:
 
 
 class TestContract:
+    @pytest.mark.parametrize("setting,message", [
+        (dict(kind="sgd"), "optimizer kind must be adam or lamb, got 'sgd'"),
+        (dict(beta1=1.0), "beta1 must lie in [0, 1), got 1.0"),
+        (dict(beta1=-0.1), "beta1 must lie in [0, 1), got -0.1"),
+        (dict(beta2=1.0), "beta2 must lie in [0, 1), got 1.0"),
+        (dict(eps=0.0), "eps must be > 0 and finite, got 0.0"),
+        (dict(eps=-1e-8), "eps must be > 0 and finite, got -1e-08"),
+        (dict(eps=float("nan")), "eps must be > 0 and finite, got nan"),
+        (dict(eps=float("inf")), "eps must be > 0 and finite, got inf"),
+        (dict(weight_decay=-0.01), "weight_decay must be >= 0 and finite, got -0.01"),
+        (dict(learning_rate=-1.0), "learning_rate must be >= 0 and finite, got -1.0"),
+        (dict(learning_rate=float("nan")),
+         "learning_rate must be >= 0 and finite, got nan"),
+        (dict(learning_rate=float("inf")),
+         "learning_rate must be >= 0 and finite, got inf"),
+        (dict(warmup_steps=-1), "warmup_steps must be >= 0 and finite, got -1"),
+        (dict(total_steps=-1), "total_steps must be >= 0 and finite, got -1"),
+        (dict(step=-1), "step must be >= 0 and finite, got -1"),
+    ])
+    def test_bad_setting_is_refused(self, setting, message):
+        with pytest.raises(ContractError) as info:
+            OptimizerState(**setting)
+        assert str(info.value) == message
+
     def test_non_finite_gradient_aborts_before_mutation(self):
         params = {"a": Tensor(np.ones(2), requires_grad=True),
                   "b": Tensor(np.ones(2), requires_grad=True)}

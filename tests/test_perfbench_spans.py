@@ -63,8 +63,9 @@ def test_tracer_counts_each_embedding_batch():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        model.embed_texts(["alpha beta", "gamma", "beta"] * 2, params, config, vocab,
-                    batch_size=2)
+        texts = ["alpha beta", "gamma", "beta"] * model.EMBED_BATCH_SIZE
+        model.embed_texts(texts[:2 * model.EMBED_BATCH_SIZE + 1], params, config,
+                          vocab)
     finally:
         tracer.uninstall()
     assert tracer.counts["model.embed_batches"] == 3

@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmlmkit import evaluation
 from cmlmkit.errors import ContractError
-from cmlmkit.evaluation import (EmbeddingSet, language_bias_histogram,
-                                retrieval_accuracy)
-from cmlmkit.losses import in_batch_retrieval_accuracy
+from cmlmkit.evaluation import (EmbeddingSet, in_batch_retrieval_accuracy,
+                                language_bias_histogram, retrieval_accuracy)
 
 # Small-integer rows whose norms are powers of two. Normalized, their entries
 # are dyadic, so every cosine between them is exact whatever order a matmul

@@ -11,7 +11,7 @@ class TestBuildVocab:
         vocab = build_vocab(["a b a"], target_size=8)
         assert vocab.size == 8
         for tok in ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", " ", "a", "b"):
-            assert tok in vocab
+            assert vocab.id_of(tok) is not None
         assert vocab.id_of("[PAD]") == PAD
 
     def test_words_ranked_by_frequency_then_lexicographic(self):

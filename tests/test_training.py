@@ -102,11 +102,38 @@ class TestPlanValidation:
         (dict(nli_steps=-5), "nli_steps"),
         (dict(learning_rate=-1.0), "learning_rate"),
         (dict(warmup_steps=-4), "warmup_steps"),
+        (dict(weight_decay=-0.1), "weight_decay"),
         (dict(alpha=-0.1), "alpha"),
+        (dict(alpha=float("nan")), "alpha"),
+        (dict(alpha=float("inf")), "alpha"),
+        (dict(learning_rate=float("inf")), "learning_rate"),
+        (dict(strategy="s2", stage1_steps=5, stage2_steps=3,
+              margin=float("nan")), "margin"),
     ])
     def test_value_below_its_floor_is_refused(self, setting, named):
         with pytest.raises(ContractError, match=f"^{named} must be >= "):
             TrainPlan(**setting)
+
+    @pytest.mark.parametrize("setting,message", [
+        (dict(variant="bogus"), "variant must be one of"),
+        (dict(optimizer="sgd"), "optimizer kind must be adam or lamb"),
+        (dict(beta1=1.0), "beta1 must lie in [0, 1)"),
+        (dict(eps=0.0), "eps must be > 0"),
+    ])
+    def test_bad_variant_or_optimizer_setting_is_refused(self, tmp_path,
+                                                         setting, message):
+        # refused when the plan is built, before any path is looked at
+        with pytest.raises(ContractError) as info:
+            TrainPlan(corpus_path=str(tmp_path / "absent.txt"), **setting)
+        assert str(info.value).startswith(message)
+
+    def test_plan_builds_the_optimizer_state_it_trains_with(self):
+        plan = TrainPlan(strategy="s3", stage1_steps=5, stage2_steps=3,
+                         nli_steps=2, optimizer="adam", beta1=0.8,
+                         weight_decay=0.01)
+        state = plan.optimizer_state()
+        assert (state.kind, state.beta1, state.weight_decay, state.total_steps,
+                state.step) == ("adam", 0.8, 0.01, 10, 0)
 
     def test_batch_of_one_is_allowed_without_bitext(self):
         assert TrainPlan(batch_size=1, nli_steps=2).batch_size == 1
@@ -163,9 +190,14 @@ class TestCorpusLoading:
 
     @pytest.mark.parametrize("loader, line, problem", [
         (load_bitext, "a b\tc d\tl0", "must have 4 tab-separated fields"),
-        (load_nli, "a b\tc d", "needs premise, hypothesis, and label"),
+        (load_nli, "a b\tc d", "must have 3 or 5 tab-separated fields"),
+        (load_nli, "a b\tc d\tentailment\tl0",
+         "must have 3 or 5 tab-separated fields"),
+        (load_nli, "a b\tc d\tentailment\tl0\tl1\tx\ty",
+         "must have 3 or 5 tab-separated fields"),
         (load_nli, "a b\tc d\tmaybe", "has unknown label 'maybe'"),
-    ], ids=["bitext-fields", "nli-fields", "nli-label"])
+    ], ids=["bitext-fields", "nli-fields", "nli-4-fields", "nli-7-fields",
+            "nli-label"])
     def test_bad_row_names_the_file(self, tmp_path, loader, line, problem):
         good = ("a b\tc d\tl0\tl1" if loader is load_bitext
                 else "a b\tc d\tentailment")
@@ -273,6 +305,12 @@ class TestCheckpointIO:
         (manifest_setting("", "strategy", "s9"), "'strategy' must be one of"),
         (manifest_setting("optimizer", "step", None), "'optimizer.step' must be of type int"),
         (manifest_setting("optimizer", "kind", "sgd"), "'optimizer'.*sgd"),
+        (manifest_setting("optimizer", "beta1", 1), r"'optimizer'.*beta1 must lie"),
+        (manifest_setting("optimizer", "eps", 0), "'optimizer'.*eps must be > 0"),
+        (manifest_setting("optimizer", "weight_decay", -1),
+         "'optimizer'.*weight_decay must be >= 0"),
+        (manifest_setting("optimizer", "learning_rate", -0.5),
+         "'optimizer'.*learning_rate must be >= 0"),
         (manifest_setting("config", "hidden", 16.0), "'config.hidden' must be of type int"),
         (manifest_setting("config", "dropout", True), "'config.dropout' must be of type float"),
         (manifest_setting("config", "pooling", "bogus"), "'config'.*pooling.*bogus"),
@@ -374,23 +412,6 @@ class TestRunPlan:
         early = np.mean([h["masked_acc"] for h in hist[:20]])
         late = np.mean([h["masked_acc"] for h in hist[-20:]])
         assert late > early + 0.08
-
-    def test_warm_start_uses_given_parameters(self, data_dir, tmp_path):
-        plan = tiny_plan(data_dir, str(tmp_path / "w"), stage1_steps=3)
-        params, _, handles = run_plan(tiny_config(), plan)
-        plan2 = tiny_plan(data_dir, str(tmp_path / "w2"), stage1_steps=3)
-        params2, hist2, _ = run_plan(tiny_config(), plan2, init=params)
-        assert hist2[0]["step"] == 0
-        assert params2["tok_emb"].data.shape == params["tok_emb"].data.shape
-
-    def test_warm_start_shape_mismatch_rejected(self, data_dir, tmp_path):
-        plan = tiny_plan(data_dir, str(tmp_path / "ws"), stage1_steps=2)
-        bad = init_params(
-            EncoderConfig(vocab_size=128, layers=1, heads=2, hidden=8, ff=16,
-                          max_len=16, n_projections=3),
-            np.random.default_rng(0))
-        with pytest.raises(ConfigMismatchError):
-            run_plan(tiny_config(), plan, init=bad)
 
     def test_cls_pooling_trains(self, data_dir, tmp_path):
         config = EncoderConfig(vocab_size=128, layers=1, heads=2, hidden=16,
