@@ -666,11 +666,16 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
     Splits ``heads`` heads, scores ``q kᵀ / sqrt(d / heads)`` plus the
     constant ``mask_bias`` (broadcast to [B, heads, Tq, Tk], query by key),
     takes the softmax over keys, weights ``v`` and merges the heads back, all
-    in one op. The scores are held key-major, [B, heads, key, query], so the
-    softmax reduces over axis -2, which numpy vectorizes along the contiguous
-    query axis. The scale is folded into ``q`` before the product. The
-    backward keeps the probabilities and, of the split operands, only those
-    its gradients read.
+    in one op. The scores are held key-major, [B, heads, key, query], so each
+    softmax pass runs along the contiguous query axis: the max is a loop of
+    ``np.maximum`` over the key rows (exact, and far faster than a
+    ``max(axis=-2)`` with its short inner loop) and the normalizer is one
+    BLAS product with a ones row; the rows are then scaled by its
+    reciprocal. The scale is folded into ``q`` before the product. Every
+    product into a [B, T, d] result (the output forward, the three
+    gradients backward) writes straight into it through a head-split view,
+    with no merge copy. The backward keeps the probabilities and, of the
+    split operands, only those its gradients read.
     """
     q_shape, kv_shape = q.data.shape, k.data.shape
     if (len(q_shape) != 3 or len(kv_shape) != 3 or v.data.shape != kv_shape
@@ -688,16 +693,24 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
     def split(m):  # [B, T, d] -> [B, h, T, dh]
         return m.reshape(bsz, m.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(m):  # [B, h, T, dh] -> [B, T, d]
-        return m.transpose(0, 2, 1, 3).reshape(bsz, m.shape[2], d)
+    def into(shape, a, b):  # a @ b written straight into a new [B, T, d] array
+        out = np.empty(shape, np.result_type(a, b))
+        np.matmul(a, b, out=split(out))
+        return out
 
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
     probs = kh @ qh.transpose(0, 1, 3, 2)  # [B, h, key, query]
     probs += np.broadcast_to(mask_bias, (bsz, heads, tq, tk)).transpose(0, 1, 3, 2)
-    probs -= probs.max(axis=-2, keepdims=True)
+    top = probs[:, :, 0].copy()
+    for j in range(1, tk):
+        np.maximum(top, probs[:, :, j], out=top)
+    probs -= top[:, :, None, :]
+    del top
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-2, keepdims=True)
-    out_data = merge(probs.transpose(0, 1, 3, 2) @ vh)
+    norm = np.ones((1, tk), probs.dtype) @ probs
+    np.divide(1.0, norm, out=norm)
+    probs *= norm
+    out_data = into(q_shape, probs.transpose(0, 1, 3, 2), vh)
     # the backward reads kh for gq, qh for gk, and vh for either
     v_grad = v.requires_grad
     if not q.requires_grad:
@@ -709,7 +722,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
 
     def backward(g):
         gh = split(g)
-        gv = merge(probs @ gh) if v_grad else None
+        gv = into(kv_shape, probs, gh) if v_grad else None
         if vh is None:
             return None, None, gv
         gs = vh @ gh.transpose(0, 1, 3, 2)  # d loss / d probs, key-major
@@ -717,9 +730,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
         gs *= probs  # now d loss / d (k (q scale)ᵀ)
         gq = None
         if kh is not None:
-            gq = merge(gs.transpose(0, 1, 3, 2) @ kh)
+            gq = into(q_shape, gs.transpose(0, 1, 3, 2), kh)
             gq *= scale
-        gk = None if qh is None else merge(gs @ qh)
+        gk = None if qh is None else into(kv_shape, gs, qh)
         return gq, gk, gv
 
     return apply_op("attention_core", out_data, (q, k, v), backward)

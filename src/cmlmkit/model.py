@@ -24,7 +24,7 @@ INIT_STDDEV = 0.02
 
 POOLING_KINDS = ("mean", "max", "cls")
 REPRESENTATIONS = ("pooled", "proj_mean")
-EMBED_BATCH_SIZE = 64  # sentences ``embed_texts`` encodes at once
+EMBED_BATCH_SIZE = 128  # sentences ``embed_texts`` encodes at once
 
 
 @dataclass
@@ -275,27 +275,34 @@ def encode_and_pool(ids: np.ndarray, mask: np.ndarray,
 def embed_texts(texts: list[str], params: dict[str, Tensor],
                 config: EncoderConfig, vocab: Vocab,
                 representation: str = "pooled") -> np.ndarray:
-    """Embed sentences without dropout; rows align with the input order."""
+    """Embed sentences without dropout; rows align with the input order.
+
+    Every text is tokenized up front, and the batches are taken in order of
+    token count (a stable sort), so each is padded only to lengths close to
+    its own; the rows are scattered back into input order.
+    """
     if representation not in REPRESENTATIONS:
         raise ContractError(
             f"representation must be one of {REPRESENTATIONS}, got {representation!r}")
     if not texts:
         raise DataError("no texts to embed")
-    rows = []
+    token_lists = []
+    for text in texts:
+        ids = tokenize(text, vocab)[:config.max_len]
+        if not ids:
+            raise DataError(f"text tokenizes to nothing: {text!r}")
+        token_lists.append(ids)
+    order = np.argsort(np.fromiter(map(len, token_lists), np.int64, len(texts)),
+                       kind="stable")
+    out = np.empty((len(texts), config.hidden), params["tok_emb"].dtype)
     for start in range(0, len(texts), EMBED_BATCH_SIZE):
-        chunk = texts[start:start + EMBED_BATCH_SIZE]
-        token_lists = []
-        for text in chunk:
-            ids = tokenize(text, vocab)[:config.max_len]
-            if not ids:
-                raise DataError(f"text tokenizes to nothing: {text!r}")
-            token_lists.append(ids)
-        ids, mask = pad_token_lists(token_lists)
+        rows = order[start:start + EMBED_BATCH_SIZE]
+        ids, mask = pad_token_lists([token_lists[i] for i in rows])
         v = encode_and_pool(ids, mask, params, config)
         if representation == "proj_mean":
             v = ad.tmean(project(v, params, config), axis=1)
-        rows.append(v.data)
-    return np.concatenate(rows, axis=0)
+        out[rows] = v.data
+    return out
 
 
 def embed_sentence(text: str, params: dict[str, Tensor], config: EncoderConfig,

@@ -10,6 +10,7 @@ characters map to [UNK].
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -157,10 +158,10 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
 def pad_token_lists(token_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad id lists with [PAD] to the longest one; returns (ids [B, L]
     int64, mask [B, L] float32 with 1 at real tokens)."""
-    width = max(len(t) for t in token_lists)
-    ids = np.full((len(token_lists), width), PAD, dtype=np.int64)
-    mask = np.zeros((len(token_lists), width), dtype=np.float32)
-    for i, tokens in enumerate(token_lists):
-        ids[i, :len(tokens)] = tokens
-        mask[i, :len(tokens)] = 1.0
-    return ids, mask
+    lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    real = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(real.shape, PAD, dtype=np.int64)
+    # a boolean mask assigns in row-major order, the order of the chained ids
+    ids[real] = np.fromiter(chain.from_iterable(token_lists), np.int64,
+                            int(lengths.sum()))
+    return ids, real.astype(np.float32)

@@ -306,6 +306,71 @@ class TestInPlaceKernels:
                         *_attention_reference(q, k, v, bias, heads, weights))
 
 
+class TestAttentionCoreFloat64:
+    """In float64 the loop max, the product normalizer and the merged-layout
+    products agree with the reference to a few ulps, at the edges of the
+    shapes the encoder uses."""
+
+    F64 = dict(rtol=1e-10, atol=1e-12)
+
+    @staticmethod
+    def _case(tk, tq, spread=1.0, heads=4, seed=9):
+        rng = np.random.default_rng(seed)
+        k, v = (rng.standard_normal((3, tk, 8)) for _ in range(2))
+        q, weights = (rng.standard_normal((3, tq, 8)) for _ in range(2))
+        mask = np.ones((3, tk))
+        mask[0, max(1, tk // 2):] = 0  # padded keys
+        mask[2, 1:] = 0  # only the first key is unmasked
+        bias = (1.0 - mask)[:, None, None, :] * -1e9
+        return (q * spread, k * spread, v), bias, weights, heads
+
+    @pytest.mark.parametrize("tk,tq", [(64, 64), (64, 20), (64, 1), (1, 1),
+                                       (1, 3), (2, 2)],
+                             ids=["64", "64-q20", "64-q1", "1", "1-q3", "2"])
+    def test_equals_reference(self, tk, tq):
+        inputs, bias, weights, heads = self._case(tk, tq)
+        got, got_g = _grads(
+            lambda q, k, v: ad.attention_core(q, k, v, bias, heads),
+            inputs, weights)
+        want, want_g = _attention_reference(*inputs, bias, heads, weights)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, **self.F64)
+        for g, h in zip(got_g, want_g):
+            assert g.dtype == np.float64
+            np.testing.assert_allclose(g, h, **self.F64)
+
+    def test_one_unmasked_key_takes_all_the_weight(self):
+        (q, k, v), bias, _, heads = self._case(64, 20)
+        out = ad.attention_core(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), bias,
+                                heads).data
+        # every query of the third example reads exactly the first value row
+        np.testing.assert_array_equal(out[2], np.broadcast_to(v[2, 0], out[2].shape))
+
+    @pytest.mark.parametrize("tk,tq", [(64, 64), (64, 20), (5, 5)])
+    def test_wide_score_spread_stays_finite_and_normalized(self, tk, tq):
+        # spread far past 709, where float64 exp overflows unless the max
+        # over keys is subtracted first
+        (q, k, v), bias, weights, heads = self._case(tk, tq, spread=40.0)
+        dh = q.shape[-1] // heads
+        split = lambda m: m.reshape(3, -1, heads, dh).transpose(0, 2, 1, 3)
+        scores = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(dh)
+        live = np.broadcast_to(bias == 0, scores.shape)
+        assert np.ptp(scores[live]) > 1000
+        got, got_g = _grads(
+            lambda q, k, v: ad.attention_core(q, k, v, bias, heads),
+            (q, k, v), weights)
+        assert np.isfinite(got).all() and all(np.isfinite(g).all() for g in got_g)
+        want, want_g = _attention_reference(q, k, v, bias, heads, weights)
+        np.testing.assert_allclose(got, want, **self.F64)
+        for g, h in zip(got_g, want_g):
+            np.testing.assert_allclose(g, h, rtol=1e-10, atol=1e-10)
+        # with every value row all ones, each output entry is a probability
+        # row's sum over keys
+        sums = ad.attention_core(ad.Tensor(q), ad.Tensor(k), ad.Tensor(np.ones_like(v)),
+                                 bias, heads).data
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
+
 class TestDropout:
     # at 0.15, float32(1 / 0.85) differs from float32(1) / float32(0.85), so
     # this rate also pins down which of the two the scale is

@@ -5,9 +5,10 @@ from cmlmkit import autodiff as ad
 from cmlmkit.config import RunConfig
 from cmlmkit.errors import ContractError, DataError, DimensionError
 from cmlmkit.masking import make_batch, make_pairs
-from cmlmkit.model import (EncoderConfig, embed_sentence, embed_texts, encode,
-                           encode_and_pool, init_params, pool, project)
-from cmlmkit.text import CLS, build_vocab
+from cmlmkit.model import (EMBED_BATCH_SIZE, EncoderConfig, embed_sentence,
+                           embed_texts, encode, encode_and_pool, init_params,
+                           pool, project)
+from cmlmkit.text import CLS, build_vocab, tokenize
 
 
 def tiny_config(vocab_size=32, **overrides):
@@ -185,7 +186,6 @@ class TestEmbedSentence:
         vocab, config, params = setup
         text = "alpha beta gamma"
         got = embed_sentence(text, params, config, vocab)
-        from cmlmkit.text import tokenize
         ids = np.asarray([tokenize(text, vocab)])
         mask = np.ones_like(ids, dtype=np.float32)
         want = encode_and_pool(ids, mask, params, config).data[0]
@@ -229,6 +229,41 @@ class TestEmbedSentence:
         batch = embed_texts(texts, params, config, vocab)
         single = embed_sentence(texts[0], params, config, vocab)
         np.testing.assert_allclose(batch[0], single, atol=1e-5)
+
+
+class TestEmbedTextsLengthSorted:
+    """``embed_texts`` batches in order of token count and scatters the rows
+    back, so each row equals its text embedded alone, in input order."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        words = "alpha beta gamma delta epsilon zeta".split()
+        rng = np.random.default_rng(11)
+        # more than two batches; lengths 1-24 words against max_len 16, so
+        # some texts are cut, and equal lengths tie in the sort
+        return [" ".join(rng.choice(words, size=rng.integers(1, 25)))
+                for _ in range(2 * EMBED_BATCH_SIZE + 37)]
+
+    @pytest.mark.parametrize("representation", ["pooled", "proj_mean"])
+    @pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
+    def test_rows_equal_single_texts_in_input_order(self, texts, pooling,
+                                                    representation):
+        vocab = build_vocab(texts, target_size=32)
+        config = tiny_config(vocab.size, pooling=pooling)
+        params = init_params(config, np.random.default_rng(0))
+        lengths = [len(tokenize(t, vocab)) for t in texts]
+        assert max(lengths) > config.max_len and len(set(lengths)) > 10
+        assert sorted(lengths) != lengths
+        got = embed_texts(texts, params, config, vocab, representation)
+        assert got.shape == (len(texts), config.hidden) and got.dtype == np.float32
+        singles = np.stack([embed_sentence(t, params, config, vocab, representation)
+                            for t in texts])
+        np.testing.assert_allclose(got, singles, atol=1e-5)
+
+        perm = np.random.default_rng(12).permutation(len(texts))
+        permuted = embed_texts([texts[i] for i in perm], params, config, vocab,
+                               representation)
+        np.testing.assert_allclose(permuted, got[perm], atol=1e-5)
 
 
 class TestSiameseAndGradients:

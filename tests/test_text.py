@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmlmkit.errors import ContractError, DataError
-from cmlmkit.text import PAD, UNK, NUM_RESERVED, build_vocab, read_lines, tokenize
+from cmlmkit.text import (PAD, UNK, NUM_RESERVED, build_vocab, pad_token_lists,
+                          read_lines, tokenize)
 
 
 class TestBuildVocab:
@@ -88,6 +90,43 @@ class TestTokenize:
         text = " ".join(words)
         want = [i for word in text.lower().split() for i in vocab.encode_word(word)]
         assert tokenize(text, vocab) == want
+
+
+def _pad_per_row(token_lists):
+    """The per-row loop ``pad_token_lists`` replaced, kept as its reference."""
+    width = max(len(t) for t in token_lists)
+    ids = np.full((len(token_lists), width), PAD, dtype=np.int64)
+    mask = np.zeros((len(token_lists), width), dtype=np.float32)
+    for i, tokens in enumerate(token_lists):
+        ids[i, :len(tokens)] = tokens
+        mask[i, :len(tokens)] = 1.0
+    return ids, mask
+
+
+class TestPadTokenLists:
+    @pytest.mark.parametrize("token_lists", [
+        [[5, 6, 7], [8], [9, 10, 11, 12, 13], [14, 15]],  # ragged
+        [[7]],                                             # a single token
+        [[5, 9, 9, 6]],                                    # a single list
+        [[5], [6], [7]],                                   # all one token
+        [[NUM_RESERVED + 300, 5], [2 ** 40]],              # large ids
+    ], ids=["ragged", "one-token", "one-list", "all-one", "large-ids"])
+    def test_bit_identical_to_the_per_row_loop(self, token_lists):
+        ids, mask = pad_token_lists(token_lists)
+        want_ids, want_mask = _pad_per_row(token_lists)
+        assert ids.dtype == np.int64 and mask.dtype == np.float32
+        assert ids.shape == want_ids.shape and mask.shape == want_mask.shape
+        assert ids.tobytes() == want_ids.tobytes()
+        assert mask.tobytes() == want_mask.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12),
+                    min_size=1, max_size=20))
+    def test_random_lists_match_the_per_row_loop(self, token_lists):
+        ids, mask = pad_token_lists(token_lists)
+        want_ids, want_mask = _pad_per_row(token_lists)
+        assert ids.tobytes() == want_ids.tobytes() and ids.shape == want_ids.shape
+        assert mask.tobytes() == want_mask.tobytes()
 
 
 class TestReadLines:
