@@ -63,6 +63,19 @@ class _RunConfigMethods:
         return cls(**values)
 
     def to_file(self, path: str) -> None:
+        """Write one ``key = value`` line per field. A string value that
+        ``from_file`` would read back changed (one holding ``#``, which starts
+        a comment, or a line break, or with leading or trailing whitespace,
+        which is stripped) is a ``ContractError`` naming the key, raised
+        before the file is opened."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (
+                    "#" in value or "\n" in value or "\r" in value
+                    or value != value.strip()):
+                raise ContractError(
+                    f"config key {f.name!r}: {value!r} would not read back from "
+                    f"a config file (a '#', a line break, or whitespace at an end)")
         with open(path, "w", encoding="utf-8") as fh:
             for f in fields(self):
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")

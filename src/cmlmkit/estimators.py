@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import all_finite
 from .config import RunConfig
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, DimensionError
 from .evaluation import (PROBE_LEARNING_RATE, PROBE_STEPS, _directions_per_tag,
                          _planar_basis, _remove_directions, _softmax_regression)
 from .model import embed_texts
@@ -28,11 +28,17 @@ from .training import load_checkpoint, run_plan
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "corpus_path")
 
 
-def check_matrix(x, name: str = "X", min_rows: int = 1) -> np.ndarray:
-    """Validate a dense 2-d float matrix with finite entries."""
+def check_matrix(x, name: str = "X", min_rows: int = 1,
+                 width: int | None = None) -> np.ndarray:
+    """Validate a dense 2-d float matrix with finite entries; a fitted
+    estimator passes the ``width`` it was fitted on, and other widths are a
+    ``DimensionError``."""
     arr = np.asarray(x)
     if arr.ndim != 2:
         raise ContractError(f"{name} must be 2-d, got shape {arr.shape}")
+    if width is not None and arr.shape[1] != width:
+        raise DimensionError(f"{name} has {arr.shape[1]} columns, but the "
+                             f"estimator was fitted on {width}")
     if arr.shape[0] < min_rows:
         raise ContractError(f"{name} needs at least {min_rows} rows")
     if arr.dtype.kind not in "fiu":
@@ -164,12 +170,13 @@ class PrincipalComponentRemover(BaseEstimator):
     def fit(self, X, tags=None) -> "PrincipalComponentRemover":
         x = check_matrix(X)
         self.directions_ = _directions_per_tag(x, check_tags(tags, len(x)))
+        self.n_features_in_ = x.shape[1]
         return self
 
     def transform(self, X, tags=None) -> np.ndarray:
         if not hasattr(self, "directions_"):
             raise ContractError("PrincipalComponentRemover is not fitted")
-        x = check_matrix(X)
+        x = check_matrix(X, width=self.n_features_in_)
         return _remove_directions(x, check_tags(tags, len(x)),
                                   self.directions_)
 
@@ -193,12 +200,13 @@ class LogisticProbe(BaseEstimator):
             raise ContractError("probe needs at least two classes")
         self._mu, self._sigma, self.coef_, self.intercept_ = _softmax_regression(
             x, y, self.classes_, self.learning_rate, self.steps)
+        self.n_features_in_ = x.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
         if not hasattr(self, "coef_"):
             raise ContractError("LogisticProbe is not fitted")
-        xs = (check_matrix(X) - self._mu) / self._sigma
+        xs = (check_matrix(X, width=self.n_features_in_) - self._mu) / self._sigma
         return self.classes_[np.argmax(xs @ self.coef_ + self.intercept_, axis=1)]
 
     def score(self, X, y) -> float:
@@ -209,13 +217,16 @@ class PlanarProjector(BaseEstimator):
     """Projects rows onto the top-2 principal directions of the fitted data."""
 
     def fit(self, X, y=None) -> "PlanarProjector":
-        self._mean, self.directions_ = _planar_basis(check_matrix(X, min_rows=3))
+        x = check_matrix(X, min_rows=3)
+        self._mean, self.directions_ = _planar_basis(x)
+        self.n_features_in_ = x.shape[1]
         return self
 
     def transform(self, X) -> np.ndarray:
         if not hasattr(self, "directions_"):
             raise ContractError("PlanarProjector is not fitted")
-        return (check_matrix(X) - self._mean) @ self.directions_.T
+        x = check_matrix(X, width=self.n_features_in_)
+        return (x - self._mean) @ self.directions_.T
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).transform(X)

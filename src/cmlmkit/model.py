@@ -45,8 +45,7 @@ class EncoderConfig:
         for name in ("layers", "heads", "hidden", "ff", "max_len", "n_projections"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
+        ad.dropout_threshold(self.dropout, "dropout")
         if self.hidden % self.heads != 0:
             raise ContractError(
                 f"hidden size {self.hidden} must be divisible by heads {self.heads}")

@@ -60,6 +60,18 @@ class TestConfigFile:
         cfg.to_file(path)
         assert RunConfig.from_file(path) == cfg
 
+    @pytest.mark.parametrize("value", [
+        "data/run#1/corpus.txt", " out ", "out ", "\tout", "a\nb", "a\rb"])
+    def test_value_that_would_not_read_back_is_refused(self, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        with pytest.raises(ContractError, match="corpus_path"):
+            RunConfig(corpus_path=value).to_file(str(path))
+        assert not path.exists()
+        # what does round-trip: an '=' in a value, an inner space, empty
+        for fine in ("data/a=b c.txt", ""):
+            RunConfig(corpus_path=fine).to_file(str(path))
+            assert RunConfig.from_file(str(path)).corpus_path == fine
+
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nhidden = 32  # trailing\nseed = 9\n")

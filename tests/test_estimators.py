@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmlmkit.errors import ContractError
+from cmlmkit.errors import ContractError, DimensionError
 from cmlmkit.estimators import (LogisticProbe, PlanarProjector,
                                 PrincipalComponentRemover, SentenceEncoder,
                                 check_matrix)
@@ -44,6 +44,21 @@ class TestCheckMatrix:
             check_matrix([[np.nan, 1.0]])
         with pytest.raises(ContractError):
             check_matrix([["a", "b"]])
+
+
+@pytest.mark.parametrize("fitted,apply", [
+    (lambda x: PrincipalComponentRemover().fit(x), lambda est, x: est.transform(x)),
+    (lambda x: LogisticProbe(steps=5).fit(x, np.arange(len(x)) % 2),
+     lambda est, x: est.predict(x)),
+    (lambda x: PlanarProjector().fit(x), lambda est, x: est.transform(x)),
+], ids=["pcr", "probe", "planar"])
+def test_fitted_estimator_refuses_another_width(fitted, apply):
+    rng = np.random.default_rng(8)
+    est = fitted(rng.standard_normal((12, 5)))
+    assert apply(est, rng.standard_normal((3, 5))).shape[0] == 3
+    for width in (4, 6):
+        with pytest.raises(DimensionError, match=f"{width} columns.*fitted on 5"):
+            apply(est, rng.standard_normal((3, width)))
 
 
 class TestSentenceEncoder:

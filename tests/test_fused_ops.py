@@ -7,6 +7,7 @@ import pytest
 
 from cmlmkit import autodiff as ad
 from cmlmkit.errors import ContractError, DimensionError, NonFiniteError
+from cmlmkit.model import EncoderConfig
 from cmlmkit.optim import TRUST_RATIO_CLAMP, OptimizerState, optimizer_step
 
 F32 = dict(rtol=2e-5, atol=2e-6)  # a few float32 ulps on O(1) values
@@ -339,6 +340,23 @@ class TestAttentionCoreFloat64:
             assert g.dtype == np.float64
             np.testing.assert_allclose(g, h, **self.F64)
 
+    @pytest.mark.parametrize("tracked", ["qkv", "kv", "qv", "qk", "q", "v"])
+    def test_constant_operands_equal_reference(self, tracked):
+        """The backward's row dot, read from the output, at masked keys when
+        some of q, k and v are constants."""
+        inputs, bias, weights, heads = self._case(64, 20)
+        leaves = [ad.Tensor(x, requires_grad=name in tracked)
+                  for name, x in zip("qkv", inputs)]
+        with ad.GradientTape() as tape:
+            out = ad.attention_core(*leaves, bias, heads)
+            loss = ad.tsum(ad.mul(out, ad.constant(weights)))
+        _, want_g = _attention_reference(*inputs, bias, heads, weights)
+        for name, leaf, want in zip("qkv", leaves, want_g):
+            if name in tracked:
+                np.testing.assert_allclose(tape.grad(loss, leaf), want, **self.F64)
+        held = [cell.cell_contents for cell in tape._entries[0].backward.__closure__]
+        assert any(h is out.data for h in held) == (tracked not in ("v",))
+
     def test_one_unmasked_key_takes_all_the_weight(self):
         (q, k, v), bias, _, heads = self._case(64, 20)
         out = ad.attention_core(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), bias,
@@ -371,32 +389,62 @@ class TestAttentionCoreFloat64:
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
 
+def _dropout_reference_mask(rng, shape, rate):
+    """The keep mask of ``dropout``, rebuilt from the generator's raw 64-bit
+    words: each word holds four 16-bit draws, lowest bits first."""
+    n = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    draws = [(int(word) >> (16 * j)) & 0xFFFF for word in words for j in range(4)]
+    return np.array(draws[:n]).reshape(shape) >= round(rate * 2 ** 16)
+
+
+def _inverse_keep(rate):
+    """2**16 / (2**16 - t) for the drop threshold t = round(rate * 2**16)."""
+    return 2 ** 16 / (2 ** 16 - round(rate * 2 ** 16))
+
+
 class TestDropout:
-    # at 0.15, float32(1 / 0.85) differs from float32(1) / float32(0.85), so
-    # this rate also pins down which of the two the scale is
+    # at both rates the inverse of the realized keep probability,
+    # 2**16 / (2**16 - t), differs in float32 from 1 / (1 - rate), so they
+    # also pin down which of the two the scale is
     @pytest.mark.parametrize("rate", [0.1, 0.15])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_the_composed_mul(self, dtype, rate):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, 6, 8)).astype(dtype)
+        x = rng.standard_normal((3, 5, 7)).astype(dtype)  # 105 draws of 27 words
         weights = rng.standard_normal(x.shape).astype(dtype)
         draws = np.random.default_rng(8)
         got, (got_g,) = _grads(lambda t: ad.dropout(t, rate, draws),
                                (x,), weights)
         replay = np.random.default_rng(8)
-        keep = (replay.random(x.shape) >= rate).astype(dtype)
+        keep = _dropout_reference_mask(replay, x.shape, rate).astype(dtype)
+        scale = dtype(_inverse_keep(rate))
         want, (want_g,) = _grads(
-            lambda t: ad.mul(t, ad.constant(keep / (1.0 - rate))),
-            (x,), weights)
+            lambda t: ad.mul(t, ad.constant(keep * scale)), (x,), weights)
         assert got.dtype == got_g.dtype == dtype
         # bitwise, so the sign of a dropped negative element counts too
         assert got.tobytes() == want.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
         np.testing.assert_array_equal(got != 0, keep != 0)
-        # g * keep / (1 - rate), to the rounding of one multiply by 1 / (1 - rate)
-        np.testing.assert_allclose(got_g, weights * keep / (1.0 - rate),
+        # g * keep / (1 - t / 2**16), to the rounding of one multiply
+        np.testing.assert_allclose(got_g, weights * keep * _inverse_keep(rate),
                                    rtol=2 * np.finfo(dtype).eps, atol=0)
         assert draws.random() == replay.random()  # the same draws were used
+
+    @pytest.mark.parametrize("rate", [0.1, 0.15, 0.5])
+    def test_realized_rate_is_binomial(self, rate):
+        n = 10 ** 6
+        x = ad.Tensor(np.ones(n, np.float32))
+        out = ad.dropout(x, rate, np.random.default_rng(11)).data
+        realized = round(rate * 2 ** 16) / 2 ** 16
+        assert abs(realized - rate) <= 2.0 ** -17
+        dropped = np.count_nonzero(out == 0) / n
+        assert abs(dropped - realized) < 5 * np.sqrt(realized * (1 - realized) / n)
+        # every survivor is scaled by the inverse of the keep probability,
+        # rounded once to float32
+        survivors = out[out != 0]
+        assert survivors.dtype == np.float32
+        np.testing.assert_array_equal(survivors, np.float32(1 / (1 - realized)))
 
     def test_one_tape_entry_and_a_valid_rate(self):
         x = ad.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
@@ -406,6 +454,83 @@ class TestDropout:
         for rate in (-0.1, 1.0, float("nan")):
             with pytest.raises(ContractError, match="rate"):
                 ad.dropout(x, rate, np.random.default_rng(0))
+
+    def test_a_rate_that_rounds_to_one_is_refused_everywhere(self):
+        x = ad.Tensor(np.ones((2, 3), np.float32))
+        edge = 1.0 - 2.0 ** -17  # round(edge * 2**16) == 2**16
+        below = np.nextafter(edge, 0.0)
+        assert round(edge * 2 ** 16) == 2 ** 16 and round(below * 2 ** 16) < 2 ** 16
+        with pytest.raises(ContractError, match="dropout rate"):
+            ad.dropout(x, edge, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="dropout must be"):
+            EncoderConfig(vocab_size=100, dropout=edge)
+        out = ad.dropout(x, below, np.random.default_rng(0)).data
+        assert out.shape == (2, 3) and np.isfinite(out).all()
+        assert EncoderConfig(vocab_size=100, dropout=below).dropout == below
+
+
+class TestRowSums:
+    """``_row_sum`` and ``_unbroadcast`` against a float64 ``np.sum``, at the
+    shapes the model reduces: bias gradients of [B * T, width] rows
+    (``train-long``'s 1,760 rows, the 640 masked rows, the desk run's short
+    batches), ``pos_emb`` and ``slot_emb`` adds, and the keepdims and size-1
+    cases that fall back to numpy."""
+
+    @pytest.mark.parametrize("shape", [(1760, 64), (1760, 128), (640, 64),
+                                       (640, 512), (32, 64), (32, 3), (1, 64),
+                                       (0, 64), (5, 0)])
+    def test_row_sum(self, shape):
+        g = _f32(np.random.default_rng(12), shape)
+        got = ad._row_sum(g)
+        assert got.dtype == np.float32 and got.shape == shape[1:]
+        want = g.astype(np.float64).sum(axis=0)
+        bound = 2 * np.finfo(np.float32).eps * np.abs(g).astype(np.float64).sum(axis=0)
+        assert np.all(np.abs(got - want) <= bound)
+        g64 = g.astype(np.float64)
+        np.testing.assert_allclose(ad._row_sum(g64), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("grad_shape,shape", [
+        ((32, 55, 64), (55, 64)),   # pos_emb
+        ((32, 15, 64), (15, 64)),   # slot_emb
+        ((32, 55, 64), (64,)),
+        ((3, 4), ()),
+        ((32, 55, 64), (32, 55, 1)),  # keepdims: numpy's sum
+        ((32, 55, 64), (1, 55, 64)),
+        ((32, 55, 64), (55, 1)),      # a leading axis and a size-1 axis
+        ((4, 3), (1,)),
+        ((4, 3), (4, 3)),
+    ])
+    def test_unbroadcast(self, grad_shape, shape):
+        g = _f32(np.random.default_rng(13), grad_shape)
+        got = ad._unbroadcast(g, shape)
+        assert got.dtype == np.float32 and got.shape == shape
+        extra = len(grad_shape) - len(shape)
+        axes = tuple(range(extra)) + tuple(
+            extra + i for i, s in enumerate(shape)
+            if s == 1 and grad_shape[extra + i] != 1)
+
+        def reduce(a):
+            return a.sum(axis=axes, keepdims=True).reshape(shape)
+
+        want = reduce(g.astype(np.float64))
+        bound = 2 * np.finfo(np.float32).eps * reduce(np.abs(g).astype(np.float64))
+        assert np.all(np.abs(got - want) <= bound)
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("shape", [(640, 512), (7, 3), (1, 1), (2, 3, 5)])
+    def test_equals_the_two_exp_formula(self, shape):
+        """The probabilities of the backward, ``exp(shifted) / sum``, agree
+        with the ``exp(log_softmax)`` they replaced to a few float32 ulps."""
+        rng = np.random.default_rng(14)
+        x, weights = _f32(rng, shape) * np.float32(4.0), _f32(rng, shape)
+        got, (got_g,) = _grads(ad.log_softmax, (x,), weights)
+        shifted = x - x.max(axis=-1, keepdims=True)
+        out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        want_g = weights - np.exp(out) * weights.sum(axis=-1, keepdims=True)
+        assert got.dtype == got_g.dtype == np.float32
+        np.testing.assert_array_equal(got, out)
+        np.testing.assert_allclose(got_g, want_g, **F32)
 
 
 def _reference_step(params, grads, state):

@@ -74,6 +74,24 @@ class TestWhatTheTapeKeeps:
         assert all(any(np.shares_memory(a, t.data) for t in (x, w1, w2))
                    for a in others)
 
+    def test_attention_rule_adds_only_its_own_output(self):
+        """Beyond the probabilities, the scaled q and views of k and v, the
+        rule holds the op's output, which its row dot reads, and nothing
+        else."""
+        rng = np.random.default_rng(6)
+        q, k, v = (leaf(rng, (2, 5, 8)) for _ in range(3))
+        with ad.GradientTape() as tape:
+            out = ad.attention_core(q, k, v, np.zeros((2, 1, 1, 5)), 2)
+        held = held_by_rules(tape)
+        assert not any(isinstance(h, ad.Tensor) for h in held)
+        arrays = [h for h in held if isinstance(h, np.ndarray)]
+        new = [a for a in arrays
+               if not any(np.shares_memory(a, t.data) for t in (k, v))]
+        assert sum(a is out.data for a in new) == 1
+        # the rest: the [B, heads, key, query] probabilities and the scaled q
+        assert sorted(a.shape for a in new if a is not out.data) == [
+            (2, 2, 5, 4), (2, 2, 5, 5)]
+
     def test_no_rule_of_a_training_step_holds_a_tensor(self):
         config = EncoderConfig(vocab_size=64, max_len=16)
         vocab = Vocab(list(RESERVED_TOKENS) + [f"w{i}" for i in range(59)])
