@@ -60,6 +60,15 @@ def check_tags(tags, n_rows: int) -> list[str]:
     return tags
 
 
+def check_labels(y, n_rows: int) -> np.ndarray:
+    """One label per row, as a 1-d array."""
+    labels = np.asarray(y)
+    if labels.shape != (n_rows,):
+        raise ContractError(f"y must be 1-d with one label for each of the "
+                            f"{n_rows} rows, got shape {labels.shape}")
+    return labels
+
+
 def _tagged(documents):
     """(language, sentences) per document; an untagged document is "base"."""
     return [doc if isinstance(doc, tuple) else ("base", doc) for doc in documents]
@@ -194,7 +203,7 @@ class LogisticProbe(BaseEstimator):
 
     def fit(self, X, y) -> "LogisticProbe":
         x = check_matrix(X)
-        y = np.asarray(y)
+        y = check_labels(y, len(x))
         self.classes_ = np.unique(y)
         if self.classes_.size < 2:
             raise ContractError("probe needs at least two classes")
@@ -210,7 +219,8 @@ class LogisticProbe(BaseEstimator):
         return self.classes_[np.argmax(xs @ self.coef_ + self.intercept_, axis=1)]
 
     def score(self, X, y) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+        predicted = self.predict(X)
+        return float(np.mean(predicted == check_labels(y, len(predicted))))
 
 
 class PlanarProjector(BaseEstimator):

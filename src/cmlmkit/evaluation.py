@@ -76,11 +76,7 @@ def cosine_similarity(a, b) -> float:
 
 def normalized_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        row = int(np.argmin(norms))
-        raise DegenerateInputError(f"{what} row {row} is a zero vector")
-    return m / norms
+    return m / _row_norms(m, what)[:, None]
 
 
 # Bytes held for one block of query rows: its float32 screen scores take at
@@ -100,17 +96,57 @@ _UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
 _TINY32 = float(np.finfo(np.float32).tiny)
 
 
+def _slice_rows(dim: int) -> int:
+    """Rows per slice of float64 work on [rows, dim] arrays: a slice's
+    three float64 arrays take at most SCORE_BLOCK_BYTES / 64 (512 KB by
+    default). Slices four times as large ran as fast but raised the
+    embed-eval benchmark's peak RSS by ~1.4 MB."""
+    return max(1, SCORE_BLOCK_BYTES // (64 * 24 * max(dim, 1)))
+
+
+def _float64_rows(matrix: np.ndarray, norms: np.ndarray | None):
+    """(start, rows) for each slice of ``matrix``'s rows, cast to float64
+    and divided by their ``norms`` unless those are None."""
+    step = _slice_rows(matrix.shape[1])
+    for a in range(0, matrix.shape[0], step):
+        m = np.asarray(matrix[a:a + step], dtype=np.float64)
+        yield a, m if norms is None else m / norms[a:a + step, None]
+
+
+def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Float64 norms of ``matrix``'s rows, cast one slice at a time; a zero
+    row is a ``DegenerateInputError``."""
+    norms = np.empty(matrix.shape[0])
+    for a, m in _float64_rows(matrix, None):
+        norms[a:a + m.shape[0]] = np.linalg.norm(m, axis=1)
+    if np.any(norms == 0.0):
+        row = int(np.argmin(norms))
+        raise DegenerateInputError(f"{what} row {row} is a zero vector")
+    return norms
+
+
 def _pair_scores(queries: np.ndarray, pool: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray) -> np.ndarray:
+                 cols: np.ndarray, norms=None) -> np.ndarray:
     """Float64 inner product of each (query row, pool row) pair, summed in
-    one fixed order, so a pair's score is a function of the pair alone."""
-    return np.einsum("ij,ij->i", queries[rows], pool[cols])
+    one fixed order, so a pair's score is a function of the pair alone.
+    With ``norms``, the float64 row norms of the queries and of the pool,
+    each row is first divided by its norm: the score is the cosine."""
+    a = queries[rows].astype(np.float64, copy=False)
+    b = pool[cols].astype(np.float64, copy=False)
+    if norms is not None:
+        a /= norms[0][rows, None]
+        b /= norms[1][cols, None]
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
-           exclude: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+           exclude: tuple[np.ndarray, np.ndarray] | None = None,
+           norms: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Indices [n_queries, k] of each query's k highest-scoring pool rows,
-    best first, with scores the float64 inner products of the rows.
+    best first, with scores the float64 inner products of the rows, or
+    their cosines when ``norms`` holds the rows' float64 norms
+    (``_row_norms`` of the queries and of the pool). Inputs of any dtype
+    are read in place and cast to float64 one slice of rows at a time.
 
     ``exclude`` holds (query row, pool row) index arrays, sorted by query
     row; those pairs are never retrieved, and every query must keep at least
@@ -131,7 +167,8 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
     on the pair alone, not on the block, the chunk or the other queries.
     SCORE_BLOCK_BYTES bounds the float32 block (half) and the survivors'
     arrays (the other half, in chunks), with at least one query row per
-    block and per chunk.
+    block and per chunk. Besides the inputs, the kernel holds the float32
+    screen copies of both.
     """
     n_pool, dim = pool.shape
     if not 1 <= k <= n_pool:
@@ -142,19 +179,25 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
     step = max(1, SCORE_BLOCK_BYTES // (8 * width))
     # survivors per chunk, and per scoring slice of a chunk
     chunk = max(1, SCORE_BLOCK_BYTES // (4 * _SURVIVOR_BYTES))
-    slice_len = max(1, SCORE_BLOCK_BYTES // (4 * 16 * dim))
+    slice_len = _slice_rows(dim)
     # 2E, plus 2u for rounding the threshold (|threshold| <= 2) to float32,
     # so the float32 threshold stays at or below bound - 2E
     slack = np.float64(2 * ((dim + 4) * _UNIT_ROUNDOFF32 + 4 * dim * _TINY32))
 
     n_queries = queries.shape[0]
-    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    norms[norms == 0] = 1.0
+    q_norms, p_norms = (None, None) if norms is None else norms
     q32 = np.empty(queries.shape, dtype=np.float32)
-    np.divide(queries, norms[:, None], out=q32, casting="same_kind")
+    for a, m in _float64_rows(queries, q_norms):
+        scale = np.sqrt(np.einsum("ij,ij->i", m, m))
+        scale[scale == 0] = 1.0
+        np.divide(m, scale[:, None], out=q32[a:a + m.shape[0]],
+                  casting="same_kind")
+    largest = max(np.einsum("ij,ij->i", m, m).max()
+                  for _, m in _float64_rows(pool, p_norms))
     p32 = np.zeros((width, dim), dtype=np.float32)
-    np.divide(pool, math.sqrt(np.einsum("ij,ij->i", pool, pool).max()) or 1.0,
-              out=p32[:n_pool], casting="same_kind")
+    for a, m in _float64_rows(pool, p_norms):
+        np.divide(m, math.sqrt(largest) or 1.0, out=p32[a:a + m.shape[0]],
+                  casting="same_kind")
 
     top = np.empty((n_queries, k), dtype=np.int64)
     block = np.empty((min(step, n_queries), width), dtype=np.float32)
@@ -187,7 +230,7 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
             rows, cols = r[pair], level * groups + g[pair]
             scores = np.concatenate([
                 _pair_scores(queries, pool, start + rows[a:a + slice_len],
-                             cols[a:a + slice_len])
+                             cols[a:a + slice_len], norms)
                 for a in range(0, rows.shape[0], slice_len)])
             order = np.lexsort((cols, -scores, rows))
             # rows is sorted, and every row has at least k survivors
@@ -200,8 +243,7 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
 def in_batch_retrieval_accuracy(source: np.ndarray, target: np.ndarray) -> float:
     """Fraction of rows whose highest float64 inner product is their own
     pair; the first maximum wins."""
-    best = _top_k(np.asarray(source, dtype=np.float64),
-                  np.asarray(target, dtype=np.float64), 1)[:, 0]
+    best = _top_k(np.asarray(source), np.asarray(target), 1)[:, 0]
     return float(np.mean(best == np.arange(best.shape[0])))
 
 
@@ -219,8 +261,9 @@ def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
             f"gold map must assign one candidate per query, got shape {gold.shape}")
     if gold.min() < 0 or gold.max() >= len(candidates):
         raise ContractError("gold map points outside the candidate set")
-    best = _top_k(normalized_rows(queries.vectors, "query"),
-                  normalized_rows(candidates.vectors, "candidate"), 1)[:, 0]
+    norms = (_row_norms(queries.vectors, "query"),
+             _row_norms(candidates.vectors, "candidate"))
+    best = _top_k(queries.vectors, candidates.vectors, 1, norms=norms)[:, 0]
     return float(np.mean(best == gold))
 
 
@@ -239,15 +282,25 @@ def _directions_per_tag(vectors: np.ndarray, tags) -> dict[str, np.ndarray]:
 
 def _remove_directions(vectors: np.ndarray, tags,
                        directions: dict[str, np.ndarray]) -> np.ndarray:
-    """Each row minus its projection onto its tag's direction (float64)."""
+    """Each row minus its projection onto its tag's direction, stored in
+    ``vectors``' dtype. One tag's rows at a time are cast to float64, a
+    slice at a time; their projections take one product over the group."""
     tags = np.asarray(tags)
-    out = vectors.astype(np.float64)
+    out = np.empty_like(vectors)
+    step = _slice_rows(vectors.shape[1])
     for tag in sorted(set(tags.tolist())):
         if tag not in directions:
             raise DataError(f"no direction learned for tag {tag!r}")
-        rows = tags == tag
-        group = out[rows]
-        out[rows] = group - np.outer(group @ directions[tag], directions[tag])
+        direction = directions[tag]
+        rows = np.flatnonzero(tags == tag)
+        group = np.empty((rows.size, vectors.shape[1]))
+        for a in range(0, rows.size, step):
+            group[a:a + step] = vectors[rows[a:a + step]]
+        weights = group @ direction
+        for a in range(0, rows.size, step):
+            out[rows[a:a + step]] = (group[a:a + step]
+                                     - np.outer(weights[a:a + step], direction))
+        del group  # before the next tag's rows are cast
     return out
 
 
@@ -259,8 +312,7 @@ def pcr_debias(es: EmbeddingSet) -> EmbeddingSet:
     """
     out = _remove_directions(es.vectors, es.languages,
                              _directions_per_tag(es.vectors, es.languages))
-    return EmbeddingSet(out.astype(es.vectors.dtype), list(es.languages),
-                        list(es.ids),
+    return EmbeddingSet(out, list(es.languages), list(es.ids),
                         None if es.labels is None else es.labels.copy())
 
 
@@ -296,8 +348,9 @@ def language_bias_histogram(queries: EmbeddingSet, pool: EmbeddingSet,
             f"rows after its (id, language) exclusion, fewer than k={k}")
     exclude = (np.repeat(np.arange(len(queries)), n_excluded),
                np.fromiter((j for r in excluded for j in r), dtype=np.int64))
-    top = _top_k(normalized_rows(queries.vectors, "query"),
-                 normalized_rows(pool.vectors, "pool"), k, exclude)
+    norms = (_row_norms(queries.vectors, "query"),
+             _row_norms(pool.vectors, "pool"))
+    top = _top_k(queries.vectors, pool.vectors, k, exclude, norms)
     tags = pool.tag_set
     tag_of_row = np.searchsorted(tags, pool.languages)
     counts = np.bincount(tag_of_row[top.ravel()], minlength=len(tags))

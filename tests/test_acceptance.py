@@ -4,8 +4,11 @@ Heavy training fixtures are session-scoped and shared between criteria.
 Budgeted runtimes are asserted where the criterion states one.
 """
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ DESK_CONFIG = dict(layers=2, heads=4, hidden=64, ff=128, max_len=64,
 
 CONDITIONING_SEEDS = (0, 1, 2)
 CONDITIONING_STEPS = 2000
+CONDITIONING_WORKERS = 2
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -54,21 +58,34 @@ def copy_task_dir(tmp_path_factory):
     return out
 
 
+def conditioning_history(variant: str, seed: int, corpus_path: str) -> list:
+    """Masked accuracy per step of one 2k-step run at the desk config."""
+    plan = TrainPlan(
+        strategy="cmlm_only", stage1_steps=CONDITIONING_STEPS, batch_size=32,
+        num_mask=3, warmup_steps=100, seed=seed, learning_rate=3e-3,
+        variant=variant, checkpoint_every=10 ** 6, corpus_path=corpus_path)
+    _, history, _ = run_plan(EncoderConfig(vocab_size=256, **DESK_CONFIG), plan)
+    return [h["masked_acc"] for h in history]
+
+
 @pytest.fixture(scope="session")
 def conditioning_runs(copy_task_dir):
-    """2k-step runs for each seed and variant at the desk config."""
+    """The runs for each seed and variant, side by side in spawned worker
+    processes on one BLAS thread each; a run's history does not depend on
+    the process it runs in."""
     started = time.time()
-    config = EncoderConfig(vocab_size=256, **DESK_CONFIG)
-    results = {}
-    for variant in ("standard", "unconditioned"):
-        for seed in CONDITIONING_SEEDS:
-            plan = TrainPlan(
-                strategy="cmlm_only", stage1_steps=CONDITIONING_STEPS,
-                batch_size=32, num_mask=3, warmup_steps=100, seed=seed,
-                learning_rate=3e-3, variant=variant, checkpoint_every=10 ** 6,
-                corpus_path=os.path.join(copy_task_dir, "corpus.txt"))
-            _, history, _ = run_plan(config, plan)
-            results[(variant, seed)] = [h["masked_acc"] for h in history]
+    corpus_path = os.path.join(copy_task_dir, "corpus.txt")
+    keys = [(variant, seed) for variant in ("standard", "unconditioned")
+            for seed in CONDITIONING_SEEDS]
+    # a spawned worker reads the thread counts when it imports numpy
+    one_thread = {name: "1" for name in
+                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+            CONDITIONING_WORKERS,
+            mp_context=multiprocessing.get_context("spawn")) as workers:
+        futures = {key: workers.submit(conditioning_history, *key, corpus_path)
+                   for key in keys}
+        results = {key: future.result() for key, future in futures.items()}
     results["elapsed"] = time.time() - started
     return results
 

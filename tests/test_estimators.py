@@ -161,6 +161,16 @@ class TestLogisticProbe:
         with pytest.raises(ContractError):
             LogisticProbe().fit(np.eye(4), np.zeros(4))
 
+    @pytest.mark.parametrize("y", [np.arange(7) % 2,
+                                   (np.arange(10) % 2).reshape(10, 1)])
+    def test_labels_must_be_one_per_row(self, y):
+        x = np.random.default_rng(5).standard_normal((10, 3))
+        with pytest.raises(ContractError, match="one label for each of the 10"):
+            LogisticProbe(steps=5).fit(x, y)
+        probe = LogisticProbe(steps=5).fit(x, np.arange(10) % 2)
+        with pytest.raises(ContractError, match="one label for each of the 10"):
+            probe.score(x, y)
+
 
 class TestPlanarProjector:
     def test_round_trip_for_planar_data(self):

@@ -146,7 +146,7 @@ def test_histogram_memory_is_bounded_by_the_block_budget():
     queries = EmbeddingSet(pool.vectors[:n_queries], pool.languages[:n_queries],
                            pool.ids[:n_queries])
     full_matrix = 8 * n_pool * n_queries
-    inputs = 8 * dim * (n_pool + n_queries)  # the float64 normalized rows
+    inputs = 8 * dim * (n_pool + n_queries)  # the inputs in float64
     assert full_matrix >= 8 * budget
     with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", budget):
         tracemalloc.start()
@@ -255,7 +255,7 @@ def test_histogram_memory_is_bounded_when_every_score_ties():
                         [f"s{i // 3}" for i in range(n_pool)])
     queries = EmbeddingSet(pool.vectors[:n_queries], pool.languages[:n_queries],
                            pool.ids[:n_queries])
-    inputs = 8 * dim * (n_pool + n_queries)  # the float64 normalized rows
+    inputs = 8 * dim * (n_pool + n_queries)  # the inputs in float64
     with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", budget):
         tracemalloc.start()
         try:
