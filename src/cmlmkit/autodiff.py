@@ -11,9 +11,9 @@ Training runs in float32; gradient checking casts to float64 because central
 finite differences are unusable at single precision.
 
 A scalar operand of a binary op (a Python number, a numpy scalar or a 0-d
-array) takes the dtype of the op's Tensor operand, so ``t * 0.5``,
-``0.5 - t`` and ``np.float64(2) * t`` keep a float32 ``t`` in float32.
-Array operands keep numpy's own promotion rules.
+array) takes the dtype of the op's Tensor operand, so ``mul(t, 0.5)``,
+``sub(0.5, t)`` and ``mul(np.float64(2), t)`` keep a float32 ``t`` in
+float32. Array operands keep numpy's own promotion rules.
 
 Four fused ops stand in for chains of the elementwise and linear-algebra
 ops, to cut tape entries and temporaries: ``linear`` (``x @ w + b`` as one
@@ -129,34 +129,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{grad})"
-
-    # Arithmetic sugar; every dunder routes through the recorded ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def constant(value, dtype=None) -> Tensor:

@@ -21,9 +21,9 @@ from .config import RunConfig
 from .errors import CmlmError, ContractError, DataError
 from .evaluation import (EmbeddingSet, in_batch_retrieval_accuracy,
                          language_bias_histogram, linear_probe,
-                         load_embeddings, export_2d, normalized_rows,
-                         pcr_debias, retrieval_accuracy, save_embeddings,
-                         spearman_correlation)
+                         load_embeddings, export_2d, pcr_debias,
+                         retrieval_accuracy, save_embeddings,
+                         spearman_correlation, _pair_scores, _row_norms)
 from .losses import CMLM_VARIANTS
 from .model import POOLING_KINDS, REPRESENTATIONS, embed_texts
 from .synth import SynthSpec, generate
@@ -167,8 +167,9 @@ def cmd_sts(args) -> int:
         raise DataError(f"gold file {args.gold!r}: {exc}") from None
     if len(gold) != len(a):
         raise DataError("gold score count must match embedding rows")
-    scores = np.sum(normalized_rows(a.vectors, "emb-a") *
-                    normalized_rows(b.vectors, "emb-b"), axis=1)
+    rows = np.arange(len(a))
+    norms = (_row_norms(a.vectors, "emb-a"), _row_norms(b.vectors, "emb-b"))
+    scores = _pair_scores(a.vectors, b.vectors, rows, rows, norms)
     rho = spearman_correlation(scores, gold)
     print(json.dumps({"spearman": rho}, sort_keys=True))
     return EXIT_OK

@@ -16,7 +16,7 @@ import numpy as np
 from . import records
 from .autodiff import all_finite
 from .errors import (ContractError, DataError, DegenerateInputError,
-                     DimensionError, IntegrityError)
+                     DimensionError, IntegrityError, NonFiniteError)
 from .spectral import first_principal_direction, top_two_directions
 
 EMBEDDING_MAGIC = b"CMLMEMB3"
@@ -25,8 +25,6 @@ _ROW_MAGIC = b"CMLMEMB1"  # versions 1 and 2, no longer read
 _SECTIONS = {"tags.lengths": ("<u4", 1), "tags.utf8": ("|u1", 1),
              "tag_index": ("<u4", 1), "ids.lengths": ("<u4", 1),
              "ids.utf8": ("|u1", 1), "vectors": ("<f4", 2)}
-
-ORTHOGONALITY_TOL = 1e-6
 
 
 @dataclass
@@ -74,19 +72,14 @@ def cosine_similarity(a, b) -> float:
     return float(a @ b / (na * nb))
 
 
-def normalized_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.float64)
-    return m / _row_norms(m, what)[:, None]
-
-
 # Bytes held for one block of query rows: its float32 screen scores take at
 # most half, its survivors' float64 re-ranking arrays the other half, so the
 # similarity kernel never holds more of the query x pool matrix than this.
 SCORE_BLOCK_BYTES = 32 * 2 ** 20
 
-# The screen splits the pool's columns into G = min(SCREEN_GROUPS, pool
-# size) interleaved groups (column j is in group j mod G), padding it to a
-# multiple of G columns.
+# The screen splits the pool's columns into G = min(max(SCREEN_GROUPS, k),
+# pool size) interleaved groups (column j is in group j mod G), padding it
+# to a multiple of G columns, so a row has at least k group maxima.
 SCREEN_GROUPS = 256
 
 # Bytes per survivor of the re-ranking arrays besides its two gathered rows
@@ -159,21 +152,21 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
     float32 unit roundoff and tiny the smallest normal float32, each screen
     score is within E = (d + 3) u + 4 d tiny of its exact scaled value,
     whatever order the matmul sums in: input rounding, summation and
-    underflow. The k-th largest of a row's group maxima is at most its k-th
-    score, so a pool row whose screen score is more than 2E below that bound
-    cannot be in the top k; the float32 threshold is rounded down. The
-    survivors are re-ranked by ``_pair_scores`` and sorted by score
-    descending, then pool index ascending, so a score and the order depend
-    on the pair alone, not on the block, the chunk or the other queries.
-    SCORE_BLOCK_BYTES bounds the float32 block (half) and the survivors'
-    arrays (the other half, in chunks), with at least one query row per
-    block and per chunk. Besides the inputs, the kernel holds the float32
-    screen copies of both.
+    underflow. The k-th largest of a row's G = min(max(SCREEN_GROUPS, k),
+    pool size) group maxima is at most its k-th score, so a pool row whose
+    screen score is more than 2E below that bound cannot be in the top k;
+    the float32 threshold is rounded down. The survivors are re-ranked by
+    ``_pair_scores`` and sorted by score descending, then pool index
+    ascending, so a score and the order depend on the pair alone, not on
+    the block, the chunk or the other queries. SCORE_BLOCK_BYTES bounds the
+    float32 block (half) and the survivors' arrays (the other half, in
+    chunks), with at least one query row per block and per chunk. Besides
+    the inputs, the kernel holds the float32 screen copies of both.
     """
     n_pool, dim = pool.shape
     if not 1 <= k <= n_pool:
         raise ContractError(f"k={k} must be in [1, {n_pool}]")
-    groups = min(SCREEN_GROUPS, n_pool)
+    groups = min(max(SCREEN_GROUPS, k), n_pool)
     levels = -(-n_pool // groups)
     width = levels * groups
     step = max(1, SCORE_BLOCK_BYTES // (8 * width))
@@ -210,10 +203,7 @@ def _top_k(queries: np.ndarray, pool: np.ndarray, k: int,
             screen[exclude[0][lo:hi] - start, exclude[1][lo:hi]] = -np.inf
         by_group = screen.reshape(stop - start, levels, groups)
         group_max = by_group.max(axis=1)
-        if k <= groups:
-            bound = np.sort(group_max, axis=1)[:, groups - k]
-        else:
-            bound = np.full(stop - start, -np.inf, dtype=np.float32)
+        bound = np.sort(group_max, axis=1)[:, groups - k]
         # real scaled scores lie in [-1 - E, 1 + E], so -2 keeps them all
         # and drops padding and excluded pairs
         floor = np.maximum((bound - slack).astype(np.float32), -2)
@@ -253,8 +243,6 @@ def retrieval_accuracy(queries: EmbeddingSet, candidates: EmbeddingSet,
 
     Ties break toward the lowest candidate index.
     """
-    if len(candidates) == 0:
-        raise DataError("candidate set is empty")
     gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (len(queries),):
         raise ContractError(
@@ -431,6 +419,8 @@ def spearman_correlation(pred, gold) -> float:
     gold = np.asarray(gold, dtype=np.float64)
     if pred.shape != gold.shape or pred.ndim != 1 or pred.size < 2:
         raise ContractError("inputs must be equal-length 1-d sequences of size >= 2")
+    if not (all_finite(pred) and all_finite(gold)):
+        raise NonFiniteError("rank correlation needs finite input")
     if np.all(pred == pred[0]) or np.all(gold == gold[0]):
         raise DegenerateInputError(
             "rank correlation is undefined for constant input")

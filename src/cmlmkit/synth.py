@@ -21,6 +21,10 @@ _VOWELS = "aeiou"
 
 NLI_LABEL_NAMES = ("entailment", "contradiction", "neutral")
 
+# distinct pseudo-words: two or three consonant-vowel syllables
+_SYLLABLES = len(_CONSONANTS) * len(_VOWELS)
+_DISTINCT_WORDS = _SYLLABLES ** 2 + _SYLLABLES ** 3
+
 
 def _pseudo_word(rng: np.random.Generator) -> str:
     syllables = rng.integers(2, 4)
@@ -67,6 +71,30 @@ class SynthSpec:
     n_heldout: int = 64
     n_nli: int = 900
 
+    def __post_init__(self):
+        """Refuse a spec the generator cannot satisfy, before any draw."""
+        for name, floor in (("n_languages", 2), ("words_per_language", 1),
+                            ("sentence_len", 1), ("n_docs", 0), ("n_bitext", 0),
+                            ("n_heldout", 0), ("n_nli", 0)):
+            if getattr(self, name) < floor:
+                raise ContractError(
+                    f"{name} must be >= {floor}, got {getattr(self, name)}")
+        words, length = self.words_per_language, self.sentence_len
+        if self.n_languages * words > _DISTINCT_WORDS:
+            raise ContractError(f"{self.n_languages} x {words} words exceed the "
+                                f"{_DISTINCT_WORDS} distinct pseudo-words")
+        sources = self.n_bitext + self.n_heldout
+        # two words already make more than `sources` sentences of
+        # bit_length(sources) words, so capping the length there keeps the
+        # power small without changing the outcome
+        if words ** min(length, sources.bit_length()) < sources:
+            raise ContractError(
+                f"{sources} bitext and held-out pairs need distinct sources, "
+                f"but {words} words make fewer {length}-word sentences")
+        if self.n_nli and words <= length:
+            raise ContractError(f"NLI contradictions need more than {length} "
+                                f"words per language, got {words}")
+
 
 def copy_task_documents(rng: np.random.Generator, languages: dict[str, list[str]],
                         spec: SynthSpec) -> list[tuple[str, list[str]]]:
@@ -85,8 +113,6 @@ def bitext_rows(rng: np.random.Generator, languages: dict[str, list[str]],
                 exclude: set[str] | None = None) -> list[tuple[str, str, str, str]]:
     """Unique source sentences in l0 with cipher translations, cycling targets."""
     tags = sorted(languages)
-    if len(tags) < 2:
-        raise ContractError("bitext needs at least two languages")
     base = tags[0]
     rows = []
     used = set(exclude) if exclude else set()
@@ -109,8 +135,6 @@ def nli_rows(rng: np.random.Generator, languages: dict[str, list[str]],
     contradiction: a disjoint-word sentence; neutral: half the words shared.
     """
     tags = sorted(languages)
-    if len(tags) < 2:
-        raise ContractError("NLI generation needs at least two languages")
     base = tags[0]
     base_words = languages[base]
     rows = []

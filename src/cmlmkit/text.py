@@ -46,14 +46,8 @@ class Vocab:
     def id_of(self, token: str) -> int | None:
         return self._ids.get(token)
 
-    def token_of(self, token_id: int) -> str:
-        return self._tokens[token_id]
-
     def encode_word(self, word: str) -> list[int]:
-        """Whole-word lookup, else greedy longest-prefix decomposition."""
-        whole = self._ids.get(word)
-        if whole is not None and whole >= NUM_RESERVED:
-            return [whole]
+        """Greedy longest-prefix split; a vocabulary word matches whole."""
         ids: list[int] = []
         pos = 0
         while pos < len(word):

@@ -510,6 +510,8 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
 
     def checkpoint():
         if ckpt_path:
+            # the log on disk holds every record the checkpoint has seen
+            metrics_fh.flush()
             save_checkpoint(
                 ckpt_path, run.config, plan.strategy, run.step, run.vocab,
                 run.params, run.opt_state,
@@ -517,10 +519,13 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
 
     metrics_fh = None
     if metrics_path:
-        # a resumed run keeps the records logged before its checkpoint
+        # a resumed run keeps the records logged before its checkpoint; they
+        # replace the log whole, so a kill leaves the old log or the new one
         kept = _records_before(metrics_path, run.step) if resume is not None else ""
-        metrics_fh = open(metrics_path, "w", encoding="utf-8")
-        metrics_fh.write(kept)
+        with open(metrics_path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(kept)
+        os.replace(metrics_path + ".tmp", metrics_path)
+        metrics_fh = open(metrics_path, "a", encoding="utf-8")
     history: list[dict] = []
     checkpoint()
     try:

@@ -12,7 +12,7 @@ from cmlmkit import autodiff as ad
 def _weighted_scalar(out):
     # fixed, shape-derived weights so repeated evaluations see one function
     w = np.cos(0.7 * np.arange(out.data.size) + 0.3).reshape(out.data.shape)
-    return ad.tsum(out * ad.constant(w))
+    return ad.tsum(ad.mul(out, ad.constant(w)))
 
 
 def _rand(rng, shape, offset=0.0):

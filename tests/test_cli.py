@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cmlmkit
 from cmlmkit import records
 from cmlmkit.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                          dispatch)
@@ -11,6 +14,7 @@ from cmlmkit.config import RunConfig
 from cmlmkit.errors import ContractError, IntegrityError
 from cmlmkit.evaluation import (EMBEDDING_MAGIC, EMBEDDING_VERSION, EmbeddingSet,
                                 load_embeddings, save_embeddings)
+from cmlmkit.synth import SynthSpec, generate
 from cmlmkit.training import load_checkpoint, save_checkpoint
 from test_training import manifest_setting, manifest_without, rewrite_manifest
 
@@ -225,6 +229,52 @@ class TestGenSynth:
         for name in ("corpus.txt", "bitext.tsv", "nli.tsv"):
             assert open(tmp_path / "a" / name, "rb").read() == \
                 open(tmp_path / "b" / name, "rb").read()
+
+    @pytest.mark.parametrize("flags", [
+        ["--sentence-len", "1"],
+        ["--sentence-len", "0"],
+        ["--words", "6", "--sentence-len", "4"],
+        ["--words", "1"],
+        ["--words", "1", "--bitext-pairs", "0", "--heldout", "0"],
+        ["--words", "3", "--sentence-len", "3", "--bitext-pairs", "10",
+         "--heldout", "2"],
+        ["--docs", "-1"],
+        ["--languages", "1"],
+        ["--languages", "2", "--words", "174000"],
+    ], ids=" ".join)
+    def test_unsatisfiable_spec_exits_1_before_drawing(self, flags, tmp_path):
+        # a process of its own, so a generator that never ends fails the
+        # test at the timeout instead of stalling the suite
+        out = str(tmp_path / "data")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cmlmkit.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             "from cmlmkit.cli import dispatch\n"
+             "sys.exit(dispatch(sys.argv[1:]))\n",
+             "gen-synth", "--out", out, *flags],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("spec", [
+        # as many bitext and held-out pairs as distinct sentences
+        dict(words_per_language=3, sentence_len=2, n_bitext=8, n_heldout=1,
+             n_nli=0),
+        # one word more than a premise can use
+        dict(words_per_language=4, sentence_len=3, n_bitext=5, n_heldout=1,
+             n_nli=9),
+    ])
+    def test_spec_at_its_limits_is_generated(self, spec, tmp_path):
+        paths = generate(str(tmp_path), seed=0, spec=SynthSpec(
+            n_languages=2, n_docs=4, **spec))
+        sources = [line.split("\t")[0] for name in ("bitext", "bitext_heldout")
+                   for line in open(paths[name]).read().splitlines()]
+        assert len(sources) == len(set(sources)) == \
+            spec["n_bitext"] + spec["n_heldout"]
+        assert len(open(paths["nli"]).read().splitlines()) == spec["n_nli"]
 
 
 class TestTrainEmbedEval:
@@ -543,6 +593,17 @@ class TestTextInputs:
                                capsys)
         assert code == EXIT_DATA and "Traceback" not in err
         assert repr(str(gold)) in err and "'high'" in err
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_gold_score_exits_2(self, score, inputs, tmp_path,
+                                           capsys):
+        _, argv = inputs["gold"]
+        gold = tmp_path / "gold.txt"
+        gold.write_text(f"1\n{score}\n3\n")
+        code, out, err = run_cli(
+            [str(gold) if arg == BAD else arg for arg in argv], capsys)
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert "finite" in err and not out
 
     @pytest.mark.parametrize("kind", ["bitext", "nli"])
     def test_pair_side_with_no_word_exits_2(self, kind, inputs, tmp_path,

@@ -139,13 +139,13 @@ class TestEmbeddings:
 
 class TestScalarOperands:
     EXPRESSIONS = {
-        "t * 0.5": lambda t: t * 0.5,
-        "0.5 * t": lambda t: 0.5 * t,
-        "0.5 - t": lambda t: 0.5 - t,
-        "t - 0.5": lambda t: t - 0.5,
-        "t + 1": lambda t: t + 1,
-        "t / 3.0": lambda t: t / 3.0,
-        "float64(2) * t": lambda t: np.float64(2) * t,
+        "mul(t, 0.5)": lambda t: ad.mul(t, 0.5),
+        "mul(0.5, t)": lambda t: ad.mul(0.5, t),
+        "sub(0.5, t)": lambda t: ad.sub(0.5, t),
+        "sub(t, 0.5)": lambda t: ad.sub(t, 0.5),
+        "add(t, 1)": lambda t: ad.add(t, 1),
+        "div(t, 3.0)": lambda t: ad.div(t, 3.0),
+        "mul(float64(2), t)": lambda t: ad.mul(np.float64(2), t),
         "mul(t, 0-d array)": lambda t: ad.mul(t, np.array(2.0)),
         "tmean(t)": lambda t: ad.tmean(t),
         "tmean(t, axis=1)": lambda t: ad.tmean(t, axis=1),
@@ -163,13 +163,13 @@ class TestScalarOperands:
 
     def test_scalar_value_is_kept(self):
         t = ad.Tensor(np.array([4.0], dtype=np.float32))
-        np.testing.assert_array_equal((0.5 - t).data, [-3.5])
-        np.testing.assert_array_equal((np.float64(0.25) * t).data, [1.0])
+        np.testing.assert_array_equal(ad.sub(0.5, t).data, [-3.5])
+        np.testing.assert_array_equal(ad.mul(np.float64(0.25), t).data, [1.0])
 
     def test_float64_tensor_with_scalar_stays_float64(self):
         t = ad.Tensor(np.ones(3, dtype=np.float64))
-        assert (t * np.float32(0.5)).dtype == np.float64
+        assert ad.mul(t, np.float32(0.5)).dtype == np.float64
 
     def test_arrays_keep_numpy_promotion(self):
         t = ad.Tensor(np.ones(3, dtype=np.float32))
-        assert (t * np.full(3, 2.0)).dtype == np.float64
+        assert ad.mul(t, np.full(3, 2.0)).dtype == np.float64

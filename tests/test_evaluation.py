@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmlmkit.errors import (ContractError, DataError, DegenerateInputError,
-                            DimensionError, IntegrityError)
+                            DimensionError, IntegrityError, NonFiniteError)
 from cmlmkit.evaluation import (EmbeddingSet, cosine_similarity, export_2d,
                                 language_bias_histogram, linear_probe,
                                 load_embeddings, pcr_debias, project_2d,
@@ -311,6 +311,15 @@ class TestSpearman:
     def test_constant_input_rejected(self):
         with pytest.raises(DegenerateInputError):
             spearman_correlation([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("pred, gold", [
+        ([1, 2, np.nan, 4], [1, 2, 3, 4]),
+        ([1, 2, 3, 4], [1, np.inf, 3, 4]),
+        ([1, 2, 3, 4], [-np.inf, 2, 3, 4]),
+    ])
+    def test_non_finite_input_rejected(self, pred, gold):
+        with pytest.raises(NonFiniteError):
+            spearman_correlation(pred, gold)
 
 
 class TestExport2d:

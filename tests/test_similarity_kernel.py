@@ -191,10 +191,10 @@ def float_case(draw):
     return queries.astype(np.float64), pool.astype(np.float64), k, drop
 
 
-def block_budgets(n_pool):
+def block_budgets(n_pool, k):
     """Budgets for blocks of one row (with one-survivor chunks), three rows
     and whole sets, and the default budget."""
-    groups = min(evaluation.SCREEN_GROUPS, n_pool)
+    groups = min(max(evaluation.SCREEN_GROUPS, k), n_pool)
     width = -(-n_pool // groups) * groups
     return [1, 3 * 8 * width, 2 ** 20, evaluation.SCORE_BLOCK_BYTES]
 
@@ -203,7 +203,7 @@ def assert_invariant_top_k(queries, pool, k, drop):
     """_top_k equals the per-pair brute force under every budget, for the
     whole query set and for each query scored alone."""
     want = pair_brute_force(queries, pool, k, drop.__getitem__)
-    for budget in block_budgets(len(pool)):
+    for budget in block_budgets(len(pool), k):
         with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", budget):
             got = evaluation._top_k(queries, pool, k, np.nonzero(drop))
             alone = [evaluation._top_k(queries[i:i + 1], pool, k,

@@ -43,8 +43,8 @@ class TestBuildVocab:
 
     def test_round_trip_ids(self):
         vocab = build_vocab(["alpha beta gamma alpha"], target_size=40)
-        for i in range(vocab.size):
-            assert vocab.id_of(vocab.token_of(i)) == i
+        for i, token in enumerate(vocab.tokens):
+            assert vocab.id_of(token) == i
 
 
 class TestTokenize:

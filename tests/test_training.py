@@ -1,6 +1,8 @@
 import json
 import os
-from dataclasses import replace
+import subprocess
+import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -451,7 +453,57 @@ def crash_after(steps, plan, monkeypatch):
     monkeypatch.setattr(training, "optimizer_step", real_step)
 
 
+# Runs the plan given as JSON (config, plan) in a process of its own, which
+# ends with os._exit(9) right after writing the checkpoint of step argv[3].
+_KILL_AFTER_CHECKPOINT = """
+import json, os, sys
+from cmlmkit import training
+from cmlmkit.model import EncoderConfig
+config, plan = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+real_save = training.save_checkpoint
+
+def save_then_die(path, config, strategy, step, *rest):
+    real_save(path, config, strategy, step, *rest)
+    if step == int(sys.argv[3]):
+        os._exit(9)
+
+training.save_checkpoint = save_then_die
+training.run_plan(EncoderConfig(**config), training.TrainPlan(**plan))
+"""
+
+
+def kill_after_checkpoint(step, config, plan):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(training.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILL_AFTER_CHECKPOINT,
+         json.dumps(config.to_dict()), json.dumps(asdict(plan)), str(step)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 9, done.stderr
+
+
 class TestResumeAndDivergence:
+    @pytest.mark.parametrize("kill_at", [3, 6, 12],
+                             ids=["mid-stage", "stage-boundary", "last-step"])
+    def test_hard_kill_after_a_checkpoint_resumes_to_the_same_run(
+            self, data_dir, tmp_path, kill_at):
+        schedule = dict(strategy="s3", stage1_steps=6, stage2_steps=6,
+                        checkpoint_every=3)
+        full = str(tmp_path / "full")
+        run_plan(tiny_config(), tiny_plan(data_dir, full, **schedule))
+
+        killed = str(tmp_path / "killed")
+        kill_after_checkpoint(kill_at, tiny_config(),
+                              tiny_plan(data_dir, killed, **schedule))
+        ckpt = os.path.join(killed, "checkpoint.ckpt")
+        assert load_checkpoint(ckpt).step == kill_at
+        run_plan(tiny_config(), tiny_plan(data_dir, killed, **schedule),
+                 resume=ckpt)
+        for name in ("metrics.jsonl", "checkpoint.ckpt"):
+            assert open(os.path.join(killed, name), "rb").read() == \
+                open(os.path.join(full, name), "rb").read(), name
+        assert not os.path.exists(os.path.join(killed, "metrics.jsonl.tmp"))
+
     def test_resume_equivalence_bitwise(self, data_dir, tmp_path, monkeypatch):
         # uninterrupted run
         plan_full = tiny_plan(data_dir, str(tmp_path / "full"), stage1_steps=12,
