@@ -209,12 +209,24 @@ ABLATE_SWEPT = {"n_projections": ("--n-proj", "--values"),
                 "stage1_steps": ("--stage1-steps", "--steps")}
 
 
+def _sweep(text: str, flag: str) -> list[str]:
+    items = [v.strip() for v in text.split(",") if v.strip()]
+    if not items:
+        raise UsageError(f"{flag} names no value: {text!r}")
+    return items
+
+
 def cmd_ablate_n(args) -> int:
-    values = [int(v) for v in args.values.split(",") if v.strip()]
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    values = _sweep(args.values, "--values")
+    if not all(v.isdecimal() for v in values):
+        raise UsageError(f"--values takes whole numbers, got {args.values!r}")
+    values = [int(v) for v in values]
+    variants = _sweep(args.variants, "--variants")
     for v in variants:
         if v not in ("standard", "skip", "proj"):
             raise UsageError(f"unknown ablation variant {v!r}")
+    if args.eval_pairs < 1:
+        raise UsageError(f"--eval-pairs must be >= 1, got {args.eval_pairs}")
     config = _load_config(args)
     for key, (flag, sweep) in ABLATE_SWEPT.items():
         # a config file written by RunConfig.to_file holds every key, so
@@ -223,6 +235,8 @@ def cmd_ablate_n(args) -> int:
                 getattr(config, key) != getattr(RunConfig(), key):
             raise UsageError(f"ablate-n sets {key} for each run: sweep it "
                              f"with {sweep}, not {flag} or the config file")
+    for n in values:  # refuse a count the encoder cannot take before any run
+        config.with_overrides({"n_projections": n}).encoder_config()
     lines = ["n\tvariant\tmasked_acc\tpair_retrieval\tfinal_loss"]
     for n in values:
         per_n = {}

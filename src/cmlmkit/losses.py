@@ -83,7 +83,8 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
     if variant not in CMLM_VARIANTS:
         raise ContractError(
             f"variant must be one of {CMLM_VARIANTS}, got {variant!r}")
-    if batch.mask_rows.size == 0:
+    live = batch.mask_live
+    if not live.any():
         raise ContractError("CMLM loss is undefined without masked positions")
 
     b = batch.batch_size
@@ -97,24 +98,12 @@ def cmlm_loss(batch: MaskedPairBatch, params: dict[str, Tensor],
                             dropout_rng=dropout_rng)
         prefix = project(v, params, config)
 
-    # slot of each masked position among its example's masked positions;
-    # an example with fewer than the most masks repeats row n in its unused
-    # slots, whose outputs are never gathered
-    rows = batch.mask_rows
-    order = np.argsort(rows, kind="stable")
-    counts = np.bincount(rows, minlength=b)
-    slot = np.empty_like(rows)
-    slot[order] = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows[order]]
-    m = int(counts.max())
-    last_rows = np.full((b, m), n, dtype=np.int64)
-    last_rows[rows, slot] = n + batch.mask_cols
-
     seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix,
-                 dropout_rng=dropout_rng, last_rows=last_rows)  # [B, m, d]
-    hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), rows * m + slot)  # [M, d]
+                 dropout_rng=dropout_rng, last_rows=n + batch.mask_cols)  # [B, m, d]
+    hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), np.flatnonzero(live))  # [M, d]
     if variant == "skip":
         mean_view = ad.tmean(prefix, axis=1)  # [B, d]
-        per_position = ad.gather_rows(mean_view, batch.mask_rows)
+        per_position = ad.gather_rows(mean_view, np.nonzero(live)[0])
         widened = ad.concat([hidden, per_position], axis=1)  # [M, 2d]
         hidden = ad.linear(widened, params["skip.w"], params["skip.b"])
 

@@ -1,7 +1,9 @@
 """Consecutive-sentence pairs, order swapping, and BERT-style masking.
 
-All functions are pure over their inputs plus an explicit numpy RNG; a seeded
-single-threaded run is the reproducibility reference.
+``make_batch`` masks a whole batch in arrays, into the [B, m] slot layout
+that ``encode(last_rows=)`` reads. All functions are pure over their inputs
+plus an explicit numpy RNG; a seeded single-threaded run is the
+reproducibility reference.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def reset_mask_clamp_count() -> None:
 
 
 def default_num_mask(max_len: int) -> int:
-    return int(round(MASK_FRACTION_OF_MAX_LEN * max_len))
+    return max(1, int(round(MASK_FRACTION_OF_MAX_LEN * max_len)))
 
 
 @dataclass
@@ -49,17 +51,17 @@ class SentencePair:
 
 @dataclass
 class MaskedPairBatch:
-    """Padded, masked batch ready for the conditional MLM objective. The
-    masked positions are flat, in example order and sorted within each
-    example, so clamped examples with fewer masks need no padding."""
+    """Padded, masked batch ready for the conditional MLM objective. Row i
+    masks its first min(num_mask, length) slots, at sorted positions of s2;
+    a clamped row's other slots hold padded positions nothing reads."""
 
     s1_ids: np.ndarray          # [B, L1] int, no [CLS] (encode_and_pool adds it)
     s1_mask: np.ndarray         # [B, L1] float, 1 = real token
     s2_ids: np.ndarray          # [B, L2] int, corrupted
     s2_mask: np.ndarray         # [B, L2] float
-    mask_rows: np.ndarray       # [M] int64, example index
-    mask_cols: np.ndarray       # [M] int64, position in s2
-    mask_labels: np.ndarray     # [M] int64, original token id
+    mask_cols: np.ndarray       # [B, m] int64, position in s2
+    mask_live: np.ndarray       # [B, m] bool, slot is masked
+    mask_labels: np.ndarray     # [M] int64, live slots' original ids
 
     @property
     def batch_size(self) -> int:
@@ -87,48 +89,39 @@ def make_pairs(sentences: list[str], vocab: Vocab, rng: np.random.Generator,
     return pairs
 
 
-def mask_tokens(s2_tokens: list[int], num_mask: int, vocab: Vocab,
-                rng: np.random.Generator) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Corrupt ``num_mask`` distinct positions; labels keep the original ids.
-
-    Per masked position: 80% become [MASK], 10% a uniform random
-    non-reserved id, 10% stay unchanged. A budget larger than the sequence
-    clamps to the length and bumps the clamp counter.
-    """
-    global _CLAMP_COUNT
-    length = len(s2_tokens)
-    if length == 0:
-        raise ContractError("cannot mask an empty sequence")
-    if num_mask < 1:
-        raise ContractError(f"num_mask must be >= 1, got {num_mask}")
-    if num_mask > length:
-        _CLAMP_COUNT += 1
-        num_mask = length
-
-    positions = np.sort(rng.choice(length, size=num_mask, replace=False))
-    labels = np.array([s2_tokens[p] for p in positions], dtype=np.int64)
-    corrupted = list(s2_tokens)
-    actions = rng.random(num_mask)
-    for pos, action in zip(positions, actions):
-        if action < MASK_ACTION_PROBS[0]:
-            corrupted[pos] = MASK
-        elif action < MASK_ACTION_PROBS[0] + MASK_ACTION_PROBS[1]:
-            corrupted[pos] = int(rng.integers(NUM_RESERVED, vocab.size))
-        # else: leave the original token in place
-    return corrupted, positions, labels
-
-
 def make_batch(pairs: list[SentencePair], vocab: Vocab, num_mask: int,
                rng: np.random.Generator) -> MaskedPairBatch:
-    """Mask and pad the given pairs; pads to the longest sequence per side."""
+    """Pad the given pairs to the longest sequence per side and corrupt
+    ``num_mask`` distinct positions of each s2; labels keep the original ids.
+
+    Per masked position: 80% become [MASK], 10% a uniform random
+    non-reserved id, 10% stay unchanged. A budget larger than a sequence
+    clamps to its length and bumps the clamp counter once per such example.
+    """
+    global _CLAMP_COUNT
     if not pairs:
         raise DataError("cannot build a batch from an empty pair list")
-
-    corrupted, positions, labels = zip(*(
-        mask_tokens(pair.s2_tokens, num_mask, vocab, rng) for pair in pairs))
-    rows = np.repeat(np.arange(len(pairs), dtype=np.int64),
-                     [len(p) for p in positions])
+    if num_mask < 1:
+        raise ContractError(f"num_mask must be >= 1, got {num_mask}")
     s1_ids, s1_mask = pad_token_lists([p.s1_tokens for p in pairs])
-    s2_ids, s2_mask = pad_token_lists(corrupted)
-    return MaskedPairBatch(s1_ids, s1_mask, s2_ids, s2_mask, rows,
-                           np.concatenate(positions), np.concatenate(labels))
+    s2_ids, s2_mask = pad_token_lists([p.s2_tokens for p in pairs])
+    lengths = s2_mask.sum(axis=1, dtype=np.int64)
+    _CLAMP_COUNT += int(np.count_nonzero(lengths < num_mask))
+
+    # uniform keys in [0, 1) at real positions and 2 at padding: the first
+    # m of a row's ascending keys are a uniform draw of its real positions,
+    # followed by padding once the row runs out
+    keys = rng.random(s2_ids.shape)
+    keys[s2_mask == 0] = 2.0
+    m = min(num_mask, s2_ids.shape[1])
+    cols = np.sort(np.argsort(keys, axis=1)[:, :m], axis=1)
+    live = np.arange(m) < np.minimum(lengths, num_mask)[:, None]
+
+    rows, live_cols = np.nonzero(live)[0], cols[live]
+    labels = s2_ids[rows, live_cols]
+    actions = rng.random(labels.size)
+    random_ids = rng.integers(NUM_RESERVED, vocab.size, size=labels.size)
+    p_mask, p_random, _ = MASK_ACTION_PROBS
+    s2_ids[rows, live_cols] = np.where(actions < p_mask, MASK, np.where(
+        actions < p_mask + p_random, random_ids, labels))
+    return MaskedPairBatch(s1_ids, s1_mask, s2_ids, s2_mask, cols, live, labels)

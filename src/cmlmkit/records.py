@@ -47,8 +47,9 @@ class Reader:
 
 def write(path: str, magic: bytes, version: int,
           sections: list[tuple[str, np.ndarray]]) -> None:
-    """Write the named arrays as one file, atomically: through a temp file
-    of this call's own, renamed over ``path``, or removed if writing fails."""
+    """Write the named arrays as one file, atomically and durably: through a
+    temp file of this call's own, fsynced, renamed over ``path`` and the
+    rename fsynced, or removed if writing fails."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -62,7 +63,14 @@ def write(path: str, magic: bytes, version: int,
                 fh.write(head)
                 fh.write(array)
                 fh.write(struct.pack("<I", zlib.crc32(array, zlib.crc32(head))))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -33,11 +33,19 @@ def _pseudo_word(rng: np.random.Generator) -> str:
                    for _ in range(syllables))
 
 
+def _check_word_count(n_languages: int, words_per_language: int) -> None:
+    if n_languages * words_per_language > _DISTINCT_WORDS:
+        raise ContractError(f"{n_languages} x {words_per_language} words exceed "
+                            f"the {_DISTINCT_WORDS} distinct pseudo-words")
+
+
 def make_languages(rng: np.random.Generator, n_languages: int,
                    words_per_language: int) -> dict[str, list[str]]:
-    """Disjoint word lists; index i is the same concept in every language."""
+    """Disjoint word lists; index i is the same concept in every language.
+    Refuses, before any draw, more words than there are pseudo-words."""
     if n_languages < 1:
         raise ContractError("need at least one language")
+    _check_word_count(n_languages, words_per_language)
     pool: list[str] = []
     seen: set[str] = set()
     while len(pool) < n_languages * words_per_language:
@@ -80,9 +88,7 @@ class SynthSpec:
                 raise ContractError(
                     f"{name} must be >= {floor}, got {getattr(self, name)}")
         words, length = self.words_per_language, self.sentence_len
-        if self.n_languages * words > _DISTINCT_WORDS:
-            raise ContractError(f"{self.n_languages} x {words} words exceed the "
-                                f"{_DISTINCT_WORDS} distinct pseudo-words")
+        _check_word_count(self.n_languages, words)
         sources = self.n_bitext + self.n_heldout
         # two words already make more than `sources` sentences of
         # bit_length(sources) words, so capping the length there keeps the

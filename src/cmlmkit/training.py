@@ -512,6 +512,7 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
         if ckpt_path:
             # the log on disk holds every record the checkpoint has seen
             metrics_fh.flush()
+            os.fsync(metrics_fh.fileno())
             save_checkpoint(
                 ckpt_path, run.config, plan.strategy, run.step, run.vocab,
                 run.params, run.opt_state,
@@ -524,6 +525,9 @@ def run_plan(config: EncoderConfig, plan: TrainPlan,
         kept = _records_before(metrics_path, run.step) if resume is not None else ""
         with open(metrics_path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(kept)
+            fh.flush()
+            os.fsync(fh.fileno())
+        # the first checkpoint's directory fsync makes this rename durable
         os.replace(metrics_path + ".tmp", metrics_path)
         metrics_fh = open(metrics_path, "a", encoding="utf-8")
     history: list[dict] = []

@@ -22,7 +22,7 @@ from cmlmkit.evaluation import (EmbeddingSet, in_batch_retrieval_accuracy,
                                 retrieval_accuracy, spearman_correlation)
 from cmlmkit.losses import (BitextBatch, NLIBatch, bitext_loss,
                             bitext_loss_from_scores, cmlm_loss, nli_loss)
-from cmlmkit.masking import make_batch, make_pairs, mask_tokens
+from cmlmkit.masking import SentencePair, make_batch, make_pairs
 from cmlmkit.model import (EncoderConfig, embed_texts, encode_and_pool,
                            init_params, project)
 from cmlmkit.spectral import first_principal_direction
@@ -184,23 +184,23 @@ class TestCriterion2MaskingStatistics:
         for length in (1, 3, 7, 12):
             tokens = [vocab.id_of(f"w{i:03d}") for i in range(length)]
             for budget in (1, 3, length, length + 5):
-                _, positions, _ = mask_tokens(tokens, budget, vocab, rng)
-                assert len(positions) == min(budget, length)
+                batch = make_batch([SentencePair([5], tokens, False)], vocab,
+                                   budget, rng)
+                assert int(batch.mask_live.sum()) == min(budget, length)
 
         # 80/10/10 action split over 100k positions (vocab big enough that
         # random-replacement collisions stay inside the 1% tolerance)
         tokens = [vocab.id_of(f"w{i:03d}") for i in range(20)]
+        pairs = [SentencePair([5], tokens, False)] * 100
         n_mask = n_rand = n_keep = total = 0
         while total < 100_000:
-            corrupted, positions, labels = mask_tokens(tokens, 20, vocab, rng)
-            for pos, lab in zip(positions, labels):
-                total += 1
-                if corrupted[pos] == 4:  # [MASK]
-                    n_mask += 1
-                elif corrupted[pos] == lab:
-                    n_keep += 1
-                else:
-                    n_rand += 1
+            batch = make_batch(pairs, vocab, 20, rng)
+            corrupted = batch.s2_ids[np.nonzero(batch.mask_live)[0],
+                                     batch.mask_cols[batch.mask_live]]
+            total += corrupted.size
+            n_mask += int(np.sum(corrupted == 4))  # [MASK]
+            n_keep += int(np.sum(corrupted == batch.mask_labels))
+            n_rand = total - n_mask - n_keep
         frac = (n_mask / total, n_rand / total, n_keep / total)
         split_ok = (abs(frac[0] - 0.8) < 0.01 and abs(frac[1] - 0.1) < 0.01
                     and abs(frac[2] - 0.1) < 0.01)

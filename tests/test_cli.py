@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cmlmkit
-from cmlmkit import records
+from cmlmkit import cli, records
 from cmlmkit.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                          dispatch)
 from cmlmkit.config import RunConfig
@@ -259,6 +259,27 @@ class TestGenSynth:
         assert "Traceback" not in done.stderr
         assert not os.path.exists(out)
 
+    def test_make_languages_refuses_more_words_than_exist_before_drawing(self):
+        # callers without a SynthSpec reach make_languages directly; a
+        # process of its own, as above, so a draw loop that never ends
+        # fails at the timeout
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cmlmkit.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "import numpy as np\n"
+             "from cmlmkit.errors import ContractError\n"
+             "from cmlmkit.synth import make_languages\n"
+             "rng = np.random.default_rng(0)\n"
+             "state = rng.bit_generator.state\n"
+             "try:\n"
+             "    make_languages(rng, 2, 174000)\n"
+             "except ContractError as exc:\n"
+             "    print(exc, rng.bit_generator.state == state)\n"],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ("2 x 174000 words exceed the 347900 distinct "
+                               "pseudo-words True\n")
+
     @pytest.mark.parametrize("spec", [
         # as many bitext and held-out pairs as distinct sentences
         dict(words_per_language=3, sentence_len=2, n_bitext=8, n_heldout=1,
@@ -344,6 +365,24 @@ class TestTrainEmbedEval:
         assert code == EXIT_DATA
         assert named in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "x.emb")
+
+    @pytest.mark.parametrize("pooling", ["mean", "max", "cls"])
+    def test_max_len_1_trains_with_a_derived_budget_of_one(
+            self, synth_dir, tmp_path, capsys, pooling):
+        # 0.3125 * max_len rounds to 0 masks at max_len 1; the derived
+        # budget is floored at one, so the run ends as it began
+        cfg = str(tmp_path / "one.cfg")
+        RunConfig(layers=1, heads=2, hidden=16, ff=32, max_len=1).to_file(cfg)
+        out = tmp_path / "run"
+        code, _, err = run_cli([
+            "train", "--config", cfg, "--pooling", pooling,
+            "--corpus", os.path.join(synth_dir, "corpus.txt"),
+            "--stage1-steps", "3", "--batch-size", "4", "--vocab-size", "96",
+            "--out", str(out)], capsys)
+        assert code == EXIT_OK, err
+        records = [json.loads(line)
+                   for line in open(out / "metrics.jsonl", encoding="utf-8")]
+        assert [r["step"] for r in records] == [0, 1, 2]
 
     def test_train_determinism_bytes(self, synth_dir, tmp_path, capsys):
         args = ["train", "--corpus", os.path.join(synth_dir, "corpus.txt"),
@@ -502,6 +541,26 @@ class TestAblateN:
         assert code == EXIT_USAGE
         assert "n_projections" in err and "--values" in err
 
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--eval-pairs", "0"], "--eval-pairs"),
+        (["--values", "1,x"], "--values"),
+        (["--values", ","], "--values"),
+        (["--variants", ","], "--variants"),
+        (["--values", "5,0"], "n_projections"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_bad_sweep_flag_is_refused_before_training(
+            self, synth_dir, monkeypatch, capsys, flags, named):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate-n trained before checking its flags")
+
+        monkeypatch.setattr(cli, "run_plan", no_training)
+        code, out, err = run_cli(
+            ["ablate-n", "--corpus", os.path.join(synth_dir, "corpus.txt"),
+             *flags], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err and out == ""
 
 class TestCorruptEmbeddingText:
     @pytest.mark.parametrize("field", ["tag", "id"])

@@ -37,13 +37,13 @@ def ragged_setup(pooling):
                  "iota kappa", "alpha beta gamma", "delta"]
     batch = make_batch(make_pairs(sentences, vocab, rng, max_len=6), vocab,
                        num_mask=4, rng=rng)
-    assert len(set(np.bincount(batch.mask_rows).tolist())) > 1
+    assert len(set(batch.mask_live.sum(axis=1).tolist())) > 1
     return config, params, batch
 
 
 def full_sequence_cmlm_loss(batch, params, config, variant):
     """The CMLM loss read off the full ``encode`` output at the masked rows
-    ``mask_rows * (N + L2) + N + mask_cols``."""
+    ``row * (N + L2) + N + col`` of each live slot."""
     b, n, d = batch.batch_size, config.n_projections, config.hidden
     if variant == "unconditioned":
         prefix = ad.constant(np.zeros((b, n, d), dtype=params["tok_emb"].dtype))
@@ -51,10 +51,12 @@ def full_sequence_cmlm_loss(batch, params, config, variant):
         prefix = project(encode_and_pool(batch.s1_ids, batch.s1_mask, params,
                                          config), params, config)
     seq = encode(batch.s2_ids, batch.s2_mask, params, config, prefix=prefix)
-    flat_rows = batch.mask_rows * seq.data.shape[1] + n + batch.mask_cols
+    mask_rows = np.nonzero(batch.mask_live)[0]
+    mask_cols = batch.mask_cols[batch.mask_live]
+    flat_rows = mask_rows * seq.data.shape[1] + n + mask_cols
     hidden = ad.gather_rows(ad.reshape(seq, (-1, d)), flat_rows)
     if variant == "skip":
-        per_position = ad.gather_rows(ad.tmean(prefix, axis=1), batch.mask_rows)
+        per_position = ad.gather_rows(ad.tmean(prefix, axis=1), mask_rows)
         hidden = ad.linear(ad.concat([hidden, per_position], axis=1),
                            params["skip.w"], params["skip.b"])
     logits = ad.linear(hidden, ad.transpose(params["tok_emb"], (1, 0)),
@@ -122,8 +124,7 @@ class TestCmlmLoss:
         rng = np.random.default_rng(6)
         pairs = make_pairs(["alpha beta", "gamma delta"], vocab, rng, max_len=8)
         batch = make_batch(pairs, vocab, num_mask=1, rng=rng)
-        batch.mask_rows = np.array([], dtype=np.int64)
-        batch.mask_cols = np.array([], dtype=np.int64)
+        batch.mask_live = np.zeros_like(batch.mask_live)
         batch.mask_labels = np.array([], dtype=np.int64)
         with pytest.raises(ContractError):
             cmlm_loss(batch, params, config)
@@ -132,20 +133,21 @@ class TestCmlmLoss:
     @pytest.mark.parametrize("variant", ["standard", "skip", "unconditioned"])
     def test_ragged_batch_is_the_count_weighted_mean_of_its_examples(
             self, variant, pooling):
-        # float64, so padding and the flat mask layout must agree with
+        # float64, so padding and the slot mask layout must agree with
         # single-example batches to rounding
         config, params, batch = ragged_setup(pooling)
-        counts = np.bincount(batch.mask_rows, minlength=batch.batch_size)
+        counts = batch.mask_live.sum(axis=1)
+        mask_rows = np.nonzero(batch.mask_live)[0]
 
         singles = []
         for i in range(batch.batch_size):
             n1, n2 = int(batch.s1_mask[i].sum()), int(batch.s2_mask[i].sum())
-            own = batch.mask_rows == i
             single = MaskedPairBatch(
                 batch.s1_ids[i:i + 1, :n1], batch.s1_mask[i:i + 1, :n1],
                 batch.s2_ids[i:i + 1, :n2], batch.s2_mask[i:i + 1, :n2],
-                np.zeros(counts[i], dtype=np.int64), batch.mask_cols[own],
-                batch.mask_labels[own])
+                batch.mask_cols[i:i + 1, :counts[i]],
+                batch.mask_live[i:i + 1, :counts[i]],
+                batch.mask_labels[mask_rows == i])
             singles.append(cmlm_loss(single, params, config, variant)[0].item())
         whole, _ = cmlm_loss(batch, params, config, variant)
         np.testing.assert_allclose(whole.item(),

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from cmlmkit.errors import ContractError, DataError
-from cmlmkit.masking import (default_num_mask, make_batch, make_pairs,
-                             mask_clamp_count, mask_tokens,
+from cmlmkit.masking import (SentencePair, default_num_mask, make_batch,
+                             make_pairs, mask_clamp_count,
                              reset_mask_clamp_count)
 from cmlmkit.text import MASK, NUM_RESERVED, build_vocab
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def vocab():
     lines = ["alpha beta gamma delta epsilon zeta eta theta " * 3]
     return build_vocab(lines, target_size=48)
@@ -49,12 +49,20 @@ class TestMakePairs:
         assert len(pairs[0].s2_tokens) == 8
 
 
+def one_row(tokens, num_mask, vocab, rng):
+    """The corrupted ids, sorted live positions and labels of a one-pair batch."""
+    batch = make_batch([SentencePair([5], list(tokens), False)], vocab,
+                       num_mask, rng)
+    return (batch.s2_ids[0].tolist(), batch.mask_cols[batch.mask_live],
+            batch.mask_labels)
+
+
 class TestMaskTokens:
     def test_exact_count_and_labels(self, vocab):
         rng = np.random.default_rng(3)
         tokens = [vocab.id_of(w) for w in
                   ("alpha", "beta", "gamma", "delta", "epsilon")]
-        corrupted, positions, labels = mask_tokens(tokens, 3, vocab, rng)
+        corrupted, positions, labels = one_row(tokens, 3, vocab, rng)
         assert len(positions) == 3
         assert len(set(positions.tolist())) == 3
         for pos, lab in zip(positions, labels):
@@ -66,14 +74,14 @@ class TestMaskTokens:
     def test_full_mask(self, vocab):
         rng = np.random.default_rng(4)
         tokens = [vocab.id_of("alpha"), vocab.id_of("beta")]
-        _, positions, labels = mask_tokens(tokens, 2, vocab, rng)
+        _, positions, labels = one_row(tokens, 2, vocab, rng)
         assert sorted(positions.tolist()) == [0, 1]
         assert labels.tolist() == tokens
 
     def test_clamp_records_warning(self, vocab):
         reset_mask_clamp_count()
         rng = np.random.default_rng(5)
-        mask_tokens([vocab.id_of("alpha")], 10, vocab, rng)
+        one_row([vocab.id_of("alpha")], 10, vocab, rng)
         assert mask_clamp_count() == 1
         reset_mask_clamp_count()
 
@@ -82,7 +90,7 @@ class TestMaskTokens:
         tokens = [vocab.id_of(w) for w in ("alpha", "beta", "gamma", "delta")] * 5
         n_mask = n_random = n_same = total = 0
         while total < 100_000:
-            corrupted, positions, labels = mask_tokens(tokens, len(tokens), vocab, rng)
+            corrupted, positions, labels = one_row(tokens, len(tokens), vocab, rng)
             for pos, lab in zip(positions, labels):
                 total += 1
                 if corrupted[pos] == MASK:
@@ -100,14 +108,108 @@ class TestMaskTokens:
 
     def test_rejects_empty_and_zero_budget(self, vocab):
         rng = np.random.default_rng(7)
+        with pytest.raises(DataError):
+            one_row([], 1, vocab, rng)
         with pytest.raises(ContractError):
-            mask_tokens([], 1, vocab, rng)
-        with pytest.raises(ContractError):
-            mask_tokens([5], 0, vocab, rng)
+            one_row([5], 0, vocab, rng)
 
     def test_default_budget_tracks_max_len(self):
         assert default_num_mask(256) == 80
         assert default_num_mask(64) == 20
+
+    def test_default_budget_is_at_least_one(self):
+        # round(0.3125 * 1) is 0, a budget make_batch refuses
+        assert default_num_mask(1) == 1
+        assert default_num_mask(2) == 1
+
+
+class TestMaskStatistics:
+    """One budget of 4 over rows of 2, 4, 5, 9 and 12 tokens, so the 2-token
+    rows clamp, the 4-token rows just fit and every batch pads."""
+
+    LENGTHS = (2, 4, 5, 9, 12)
+    BUDGET = 4
+
+    @pytest.fixture(scope="class")
+    def draws(self, vocab):
+        rng = np.random.default_rng(13)
+        words = [vocab.id_of(w) for w in ("alpha", "beta", "gamma", "delta",
+                                           "epsilon", "zeta", "eta", "theta")]
+        batches, clamps = [], []
+        for _ in range(20):
+            lengths = rng.permutation(np.repeat(self.LENGTHS, 200))
+            pairs = [SentencePair([words[0]], [words[int(i)] for i in
+                                               rng.integers(0, 8, size=n)],
+                                  False) for n in lengths]
+            reset_mask_clamp_count()
+            batches.append((lengths, pairs, make_batch(pairs, vocab,
+                                                       self.BUDGET, rng)))
+            clamps.append(mask_clamp_count())
+        reset_mask_clamp_count()
+        return batches, clamps
+
+    def test_positions_are_uniform_over_real_tokens_only(self, draws):
+        batches, _ = draws
+        hits = {n: np.zeros(max(self.LENGTHS)) for n in self.LENGTHS}
+        rows = dict.fromkeys(self.LENGTHS, 0)
+        for lengths, _, batch in batches:
+            for n in self.LENGTHS:
+                own = lengths == n
+                cols = batch.mask_cols[own][batch.mask_live[own]]
+                hits[n] += np.bincount(cols, minlength=max(self.LENGTHS))
+                rows[n] += int(own.sum())
+            live_rows = np.nonzero(batch.mask_live)[0]
+            live_cols = batch.mask_cols[batch.mask_live]
+            assert np.all(batch.s2_mask[live_rows, live_cols] == 1.0)
+        for n in self.LENGTHS:
+            p = min(self.BUDGET, n) / n
+            expected = rows[n] * p
+            sigma = np.sqrt(rows[n] * p * (1 - p))
+            assert np.all(np.abs(hits[n][:n] - expected) <= 5 * sigma), n
+            assert np.all(hits[n][n:] == 0), n
+
+    def test_positions_are_distinct_and_sorted_within_each_row(self, draws):
+        for _, _, batch in draws[0]:
+            assert batch.mask_cols.dtype == np.int64
+            assert np.all(np.diff(batch.mask_cols, axis=1) > 0)
+            assert np.all(batch.mask_cols < batch.s2_ids.shape[1])
+
+    def test_each_row_has_one_live_slot_per_clamped_budget(self, draws):
+        for lengths, _, batch in draws[0]:
+            want = np.minimum(lengths, self.BUDGET)
+            assert batch.mask_live.shape == batch.mask_cols.shape
+            assert batch.mask_live.shape[1] == self.BUDGET
+            np.testing.assert_array_equal(batch.mask_live.sum(axis=1), want)
+            # the live slots lead each row
+            np.testing.assert_array_equal(
+                batch.mask_live, np.arange(self.BUDGET) < want[:, None])
+            assert batch.mask_labels.shape == (want.sum(),)
+
+    def test_clamp_count_is_one_per_short_row(self, draws):
+        batches, clamps = draws
+        for (lengths, _, _), count in zip(batches, clamps):
+            assert count == int(np.sum(lengths < self.BUDGET))
+
+    def test_labels_are_the_original_ids_in_row_major_order(self, draws):
+        for _, pairs, batch in draws[0]:
+            rows = np.nonzero(batch.mask_live)[0]
+            cols = batch.mask_cols[batch.mask_live]
+            want = [pairs[r].s2_tokens[c] for r, c in zip(rows, cols)]
+            assert batch.mask_labels.tolist() == want
+
+    def test_action_rates(self, draws, vocab):
+        counts = np.zeros(3)
+        for _, _, batch in draws[0]:
+            rows = np.nonzero(batch.mask_live)[0]
+            now = batch.s2_ids[rows, batch.mask_cols[batch.mask_live]]
+            is_mask = now == MASK
+            is_same = now == batch.mask_labels
+            counts += [is_mask.sum(), (~is_mask & ~is_same).sum(), is_same.sum()]
+        total = counts.sum()
+        # a random id equal to the label counts as unchanged
+        spill = 0.1 / (vocab.size - NUM_RESERVED)
+        for seen, p in zip(counts, (0.8, 0.1 - spill, 0.1 + spill)):
+            assert abs(seen - total * p) <= 5 * np.sqrt(total * p * (1 - p))
 
 
 class TestMakeBatch:
@@ -132,7 +234,7 @@ class TestMakeBatch:
 
         a, b = build(), build()
         np.testing.assert_array_equal(a.s2_ids, b.s2_ids)
-        np.testing.assert_array_equal(a.mask_rows, b.mask_rows)
+        np.testing.assert_array_equal(a.mask_live, b.mask_live)
         np.testing.assert_array_equal(a.mask_cols, b.mask_cols)
 
     def test_unmasking_round_trip(self, vocab):
@@ -146,7 +248,8 @@ class TestMakeBatch:
             originals = [list(p.s2_tokens) for p in pairs]
             batch = make_batch(pairs, vocab, num_mask=2, rng=rng)
             restored = batch.s2_ids.copy()
-            restored[batch.mask_rows, batch.mask_cols] = batch.mask_labels
+            restored[np.nonzero(batch.mask_live)[0],
+                     batch.mask_cols[batch.mask_live]] = batch.mask_labels
             for i, original in enumerate(originals):
                 assert restored[i, :len(original)].tolist() == original
 
@@ -159,10 +262,11 @@ class TestMakeBatch:
                          for _ in range(n_sent)]
             pairs = make_pairs(sentences, vocab, rng, max_len=8)
             batch = make_batch(pairs, vocab, num_mask=3, rng=rng)
-            assert np.all(batch.s2_mask[batch.mask_rows, batch.mask_cols] == 1.0)
+            assert np.all(batch.s2_mask[np.nonzero(batch.mask_live)[0],
+                                        batch.mask_cols[batch.mask_live]] == 1.0)
 
-    def test_flat_mask_layout(self, vocab):
-        # one entry per masked position: example order, then sorted positions,
+    def test_slot_mask_layout(self, vocab):
+        # a [B, m] grid of sorted positions whose live slots lead each row,
         # with a clamped (shorter) example masking fewer positions
         rng = np.random.default_rng(12)
         pairs = make_pairs(["alpha beta gamma delta epsilon", "zeta", "eta theta"],
@@ -172,15 +276,17 @@ class TestMakeBatch:
         assert mask_clamp_count() > 0
         reset_mask_clamp_count()
         counts = [min(3, len(p.s2_tokens)) for p in pairs]
-        assert batch.mask_rows.tolist() == [i for i, c in enumerate(counts)
-                                            for _ in range(c)]
-        for arr in (batch.mask_rows, batch.mask_cols, batch.mask_labels):
-            assert arr.dtype == np.int64 and arr.shape == (sum(counts),)
+        assert batch.mask_live.tolist() == [[j < c for j in range(3)]
+                                            for c in counts]
+        assert batch.mask_cols.dtype == np.int64 and batch.mask_cols.shape == (2, 3)
+        assert batch.mask_labels.dtype == np.int64
+        assert batch.mask_labels.shape == (sum(counts),)
+        labels = iter(batch.mask_labels.tolist())
         for i, pair in enumerate(pairs):
-            cols = batch.mask_cols[batch.mask_rows == i]
+            cols = batch.mask_cols[i]
             assert np.all(np.diff(cols) > 0)
-            assert batch.mask_labels[batch.mask_rows == i].tolist() == \
-                [pair.s2_tokens[c] for c in cols]
+            assert [next(labels) for _ in range(counts[i])] == \
+                [pair.s2_tokens[c] for c in cols[:counts[i]]]
 
     def test_empty_pairs_rejected(self, vocab):
         with pytest.raises(DataError):

@@ -3,6 +3,7 @@ truncation fuzzing, hostile length fields, trailing bytes and the refusal
 of the old formats."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -116,6 +117,44 @@ def test_written_file_has_the_mode_open_gives(tmp_path):
     records.write(str(tmp_path / "r"), EMBEDDING_MAGIC, 1, [])
     open(tmp_path / "t", "wb").close()
     assert os.stat(tmp_path / "r").st_mode == os.stat(tmp_path / "t").st_mode
+
+
+def log_durability(monkeypatch, directory):
+    """Log, in call order, each ``os.fsync`` as ("fsync", the name of its
+    file in ``directory``, or "." for the directory itself) and each
+    ``os.replace`` as ("replace", its target's name). A temp file's random
+    part reads "*". A power cut cannot be staged in a test; the order of
+    these calls is what makes a rename land after the bytes it names."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def name_of(fd):
+        ino = os.fstat(fd).st_ino
+        if ino == os.stat(directory).st_ino:
+            return "."
+        name, = [n for n in os.listdir(directory)
+                 if os.stat(os.path.join(directory, n)).st_ino == ino]
+        return re.sub(r"\.[0-9a-f]{16}\.tmp$", ".*.tmp", name)
+
+    def logged_fsync(fd):
+        events.append(("fsync", name_of(fd)))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        replace(src, dst)
+        events.append(("replace", os.path.basename(dst)))
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    return events
+
+
+def test_write_fsyncs_the_file_then_renames_it_then_fsyncs_the_directory(
+        tmp_path, monkeypatch):
+    events = log_durability(monkeypatch, str(tmp_path))
+    records.write(str(tmp_path / "r"), EMBEDDING_MAGIC, 1,
+                  [("a", np.zeros(3, dtype=np.float32))])
+    assert events == [("fsync", "r.*.tmp"), ("replace", "r"), ("fsync", ".")]
 
 
 @pytest.mark.parametrize("kind", ["checkpoint", "embedding"])

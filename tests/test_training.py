@@ -16,6 +16,7 @@ from cmlmkit.synth import SynthSpec, generate
 from cmlmkit.text import build_vocab
 from cmlmkit.training import (TrainPlan, load_bitext, load_checkpoint,
                               load_corpus, load_nli, run_plan, save_checkpoint)
+from test_records import log_durability
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +504,24 @@ class TestResumeAndDivergence:
             assert open(os.path.join(killed, name), "rb").read() == \
                 open(os.path.join(full, name), "rb").read(), name
         assert not os.path.exists(os.path.join(killed, "metrics.jsonl.tmp"))
+
+    def test_log_is_fsynced_before_each_checkpoint_is_renamed(
+            self, data_dir, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        events = log_durability(monkeypatch, out)
+        plan = tiny_plan(data_dir, out, stage1_steps=4, checkpoint_every=2)
+        new_log = [("fsync", "metrics.jsonl.tmp"), ("replace", "metrics.jsonl")]
+        checkpoint = [("fsync", "metrics.jsonl"),
+                      ("fsync", "checkpoint.ckpt.*.tmp"),
+                      ("replace", "checkpoint.ckpt"), ("fsync", ".")]
+        run_plan(tiny_config(), plan)
+        # at the start, after steps 2 and 4, and at the end
+        assert events == new_log + checkpoint * 4
+        events.clear()
+        run_plan(tiny_config(), plan,
+                 resume=os.path.join(out, "checkpoint.ckpt"))
+        assert events == new_log + checkpoint * 2
 
     def test_resume_equivalence_bitwise(self, data_dir, tmp_path, monkeypatch):
         # uninterrupted run
